@@ -37,7 +37,7 @@ fn warmed_engine() -> Engine {
     }
     engine.flush().expect("flush");
     // Memoize the snapshot summary once, like a long-lived reader.
-    engine.summary().expect("summary");
+    engine.snapshot().expect("snapshot").summary().expect("summary");
     engine
 }
 

@@ -75,7 +75,7 @@ fn engine_snapshot(c: &mut Criterion) {
     }
     // Warm the published snapshot's memoized summary once, as a
     // long-lived reader would find it.
-    engine.summary().expect("summary");
+    engine.snapshot().expect("snapshot").summary().expect("summary");
     let probe = Pred::table("t0");
 
     group.bench_function("snapshot_acquire", |b| {
@@ -163,15 +163,15 @@ fn engine_compaction(c: &mut Criterion) {
     let mut sharded = ShardedPointSet::new();
     sharded.set_spill(SpillConfig { dir: dir.clone(), resident_budget: 0 }).expect("attach store");
     for chunk in vectors.chunks(vectors.len().div_ceil(128)) {
-        sharded.push_shard(chunk, log.num_features());
+        sharded.push_shard(chunk, log.num_features()).unwrap();
     }
     sharded.spill_all().expect("spill");
     let mut compacted = sharded.clone();
     compacted.compact().expect("compact");
     let n = compacted.len();
     assert_eq!(
-        sharded.condensed(Distance::Hamming).as_slice(),
-        compacted.condensed(Distance::Hamming).as_slice(),
+        sharded.condensed(Distance::Hamming).unwrap().as_slice(),
+        compacted.condensed(Distance::Hamming).unwrap().as_slice(),
         "compaction changed a bit"
     );
 
@@ -189,7 +189,7 @@ fn engine_compaction(c: &mut Criterion) {
             });
         });
         group.bench_function(format!("merged_read/{label}"), |b| {
-            b.iter(|| black_box(set.condensed(Distance::Hamming)));
+            b.iter(|| black_box(set.condensed(Distance::Hamming).unwrap()));
         });
     }
     group.finish();

@@ -7,7 +7,7 @@
 //!    over a steady-shape service stream (tree routing + token compare +
 //!    journal append per line), and journal `replay` throughput (the
 //!    recovery path — every engine resume replays this).
-//! 2. `source_ingest` — end-to-end `StreamSummarizer::ingest_record`
+//! 2. `source_ingest` — end-to-end `StreamSummarizer::ingest`
 //!    throughput with the template source versus the SQL source at the
 //!    same window size, so the per-record delta between "parse SQL" and
 //!    "mine a template" is read straight off the two numbers.
@@ -81,7 +81,7 @@ fn bench_source_ingest(c: &mut Criterion) {
             StreamSummarizer::new(StreamConfig { window: 256, source, ..StreamConfig::default() });
         let mut closed = 0usize;
         for record in records {
-            if s.ingest_record(black_box(record)).is_some() {
+            if s.ingest(black_box(record)).unwrap().is_some() {
                 closed += 1;
             }
         }

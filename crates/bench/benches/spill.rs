@@ -80,8 +80,8 @@ fn bench_spill_io(c: &mut Criterion) {
     // The record the streaming close path would spill: a 128-point shard
     // closed against 1024 history points.
     let mut set = ShardedPointSet::new();
-    set.push_shard(&refs[..history_n], nf);
-    set.push_shard(&refs[history_n..], nf);
+    set.push_shard(&refs[..history_n], nf).unwrap();
+    set.push_shard(&refs[history_n..], nf).unwrap();
     let record = spill_record_of(&set, &refs, nf, history_n);
     let path = dir.join("bench-record.bin");
 
@@ -135,7 +135,7 @@ fn bench_out_of_core(c: &mut Criterion) {
     // 8 × 128-point shards, one resident copy and one fully spilled copy.
     let mut resident = ShardedPointSet::new();
     for chunk in refs[..1024].chunks(128) {
-        resident.push_shard(chunk, nf);
+        resident.push_shard(chunk, nf).unwrap();
     }
     let mut spilled = resident.clone();
     spilled.set_spill(SpillConfig { dir: dir.clone(), resident_budget: usize::MAX }).unwrap();
@@ -143,15 +143,15 @@ fn bench_out_of_core(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("out_of_core");
     group.bench_function("history_read/resident/h1024", |b| {
-        b.iter(|| black_box(&resident).condensed(Distance::Hamming))
+        b.iter(|| black_box(&resident).condensed(Distance::Hamming).unwrap())
     });
     group.bench_function("history_read/spilled/h1024", |b| {
-        b.iter(|| black_box(&spilled).condensed(Distance::Hamming))
+        b.iter(|| black_box(&spilled).condensed(Distance::Hamming).unwrap())
     });
     group.bench_function("shard_append/resident/h1024_w128", |b| {
         b.iter(|| {
             let mut h = resident.clone();
-            h.push_shard(black_box(&refs[1024..]), nf);
+            h.push_shard(black_box(&refs[1024..]), nf).unwrap();
             black_box(h.len())
         })
     });
@@ -160,7 +160,7 @@ fn bench_out_of_core(c: &mut Criterion) {
             // Cloning an all-spilled set copies paths, not payloads; the
             // append then reloads each history shard for its cross rows.
             let mut h = spilled.clone();
-            h.push_shard(black_box(&refs[1024..]), nf);
+            h.push_shard(black_box(&refs[1024..]), nf).unwrap();
             black_box(h.len())
         })
     });
@@ -177,13 +177,13 @@ fn bench_bounded_stream(c: &mut Criterion) {
     // with the timings below.
     let mut probe = StreamSummarizer::new(config);
     for sql in &statements {
-        probe.ingest(sql);
+        probe.ingest(sql).unwrap();
     }
     let unbounded_bytes = probe.resident_shard_bytes();
     let mut probe = StreamSummarizer::new(config);
     probe.spill_to(dir.join("probe"), 0).unwrap();
     for sql in &statements {
-        probe.ingest(sql);
+        probe.ingest(sql).unwrap();
     }
     eprintln!(
         "bounded_stream resident bytes: unbounded={unbounded_bytes} budget0={} ({} shards spilled)",
@@ -197,7 +197,7 @@ fn bench_bounded_stream(c: &mut Criterion) {
             let mut s = StreamSummarizer::new(config);
             let mut closed = 0usize;
             for sql in &statements {
-                if s.ingest(black_box(sql)).is_some() {
+                if s.ingest(black_box(sql)).unwrap().is_some() {
                     closed += 1;
                 }
             }
@@ -210,7 +210,7 @@ fn bench_bounded_stream(c: &mut Criterion) {
             s.spill_to(dir.join("run"), 0).unwrap();
             let mut closed = 0usize;
             for sql in &statements {
-                if s.ingest(black_box(sql)).is_some() {
+                if s.ingest(black_box(sql)).unwrap().is_some() {
                     closed += 1;
                 }
             }

@@ -43,7 +43,7 @@ fn bench_streaming_throughput(c: &mut Criterion) {
                     });
                     let mut closed = 0usize;
                     for sql in stmts {
-                        if s.ingest(black_box(sql)).is_some() {
+                        if s.ingest(black_box(sql)).unwrap().is_some() {
                             closed += 1;
                         }
                     }
@@ -82,13 +82,13 @@ fn bench_window_close(c: &mut Criterion) {
 
     // Pre-built history the window closes against.
     let mut history = ShardedPointSet::new();
-    history.push_shard(&refs[..history_n], nf);
+    history.push_shard(&refs[..history_n], nf).unwrap();
 
     let mut group = c.benchmark_group("window_close");
     group.bench_function("shard_append/h1024_w128", |b| {
         b.iter(|| {
             let mut h = history.clone();
-            h.push_shard(black_box(&refs[history_n..]), nf);
+            h.push_shard(black_box(&refs[history_n..]), nf).unwrap();
             black_box(h.len())
         })
     });
@@ -101,8 +101,8 @@ fn bench_window_close(c: &mut Criterion) {
     });
     group.bench_function("merged_condensed_read/h1024_w128", |b| {
         let mut h = history.clone();
-        h.push_shard(&refs[history_n..], nf);
-        b.iter(|| black_box(&h).condensed(Distance::Hamming))
+        h.push_shard(&refs[history_n..], nf).unwrap();
+        b.iter(|| black_box(&h).condensed(Distance::Hamming).unwrap())
     });
     group.finish();
 }

@@ -46,6 +46,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -85,6 +86,15 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     /// primitive cross-process lock acquisition is built on — unlike
     /// read-then-write, two racing creators cannot both succeed.
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// The namespace this handle's paths live in: 0 (the default) for
+    /// the real filesystem, a process-unique nonzero id for each
+    /// in-memory filesystem. Handles with equal ids see the same files,
+    /// so anything keyed by path (the engine's store-lock registry) keys
+    /// by `(fs_id, path)` — one virtual `/srv` must not collide with
+    /// another. Wrappers forward their inner handle's id.
+    fn fs_id(&self) -> u64 {
+        0
+    }
 }
 
 /// The default [`Vfs`]: a passthrough to `std::fs`.
@@ -320,9 +330,20 @@ struct FaultState {
 /// point leaves behind, then open an engine directly on the materialized
 /// state via [`FaultFs::from_files`] — no real disk is touched anywhere
 /// in the loop.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FaultFs {
     state: Mutex<FaultState>,
+    /// This namespace's [`Vfs::fs_id`], unique in the process.
+    id: u64,
+}
+
+/// Next [`FaultFs`] namespace id; 0 is the real filesystem's.
+static NEXT_FAULT_FS_ID: AtomicU64 = AtomicU64::new(1);
+
+impl Default for FaultFs {
+    fn default() -> Self {
+        FaultFs::from_files(BTreeMap::new(), BTreeSet::new())
+    }
 }
 
 impl FaultFs {
@@ -337,6 +358,7 @@ impl FaultFs {
     pub fn from_files(files: BTreeMap<PathBuf, Vec<u8>>, dirs: BTreeSet<PathBuf>) -> Self {
         FaultFs {
             state: Mutex::new(FaultState { files, dirs, trace: Vec::new(), faults: Vec::new() }),
+            id: NEXT_FAULT_FS_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -539,6 +561,10 @@ impl Vfs for FaultFs {
         state.files.insert(path.to_path_buf(), bytes.to_vec());
         state.trace.push(IoOp::CreateExclusive { path: path.to_path_buf(), bytes: bytes.to_vec() });
         Ok(())
+    }
+
+    fn fs_id(&self) -> u64 {
+        self.id
     }
 }
 

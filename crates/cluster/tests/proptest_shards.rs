@@ -62,12 +62,12 @@ proptest! {
         let monolithic = PointSet::from_vectors(&refs, universe);
         let mut sharded = ShardedPointSet::new();
         for chunk in refs.chunks(shard_size) {
-            sharded.push_shard(chunk, universe);
+            sharded.push_shard(chunk, universe).unwrap();
         }
         prop_assert_eq!(sharded.len(), refs.len());
         for metric in all_metrics() {
             let whole = monolithic.distances(metric);
-            let merged = sharded.condensed(metric);
+            let merged = sharded.condensed(metric).unwrap();
             prop_assert_eq!(merged.n(), whole.n());
             for (a, b) in merged.as_slice().iter().zip(whole.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?} shard_size={}", metric, shard_size);
@@ -92,9 +92,9 @@ proptest! {
         let build = |n_threads: usize| {
             let mut sharded = ShardedPointSet::new();
             for chunk in refs.chunks(shard_size) {
-                sharded.push_shard_threads(chunk, universe, n_threads);
+                sharded.push_shard_threads(chunk, universe, n_threads).unwrap();
             }
-            sharded.condensed(Distance::Manhattan)
+            sharded.condensed(Distance::Manhattan).unwrap()
         };
         let serial = build(1);
         for n_threads in [2usize, 3, 8] {
@@ -130,8 +130,8 @@ proptest! {
             // Widen the universe on the last shard only (the streaming
             // codebook-growth path crosses the store too).
             let width = if s + 1 == chunks.len() { final_universe } else { universe };
-            resident.push_shard(chunk, width);
-            spilled.push_shard(chunk, width);
+            resident.push_shard(chunk, width).unwrap();
+            spilled.push_shard(chunk, width).unwrap();
         }
         // Budget 0 pinned only the hot tail during the build…
         prop_assert_eq!(spilled.spilled_shards(), spilled.n_shards() - 1);
@@ -142,8 +142,8 @@ proptest! {
         let monolithic = PointSet::from_vectors(&refs, final_universe);
         for metric in all_metrics() {
             let whole = monolithic.distances(metric);
-            let from_disk = spilled.condensed(metric);
-            let from_ram = resident.condensed(metric);
+            let from_disk = spilled.condensed(metric).unwrap();
+            let from_ram = resident.condensed(metric).unwrap();
             prop_assert_eq!(from_disk.n(), whole.n());
             for ((a, b), c) in
                 from_disk.as_slice().iter().zip(from_ram.as_slice()).zip(whole.as_slice())
@@ -175,12 +175,12 @@ proptest! {
         for (s, chunk) in chunks.iter().enumerate() {
             // Widen the universe on the last shard only.
             let width = if s + 1 == chunks.len() { final_universe } else { universe };
-            sharded.push_shard(chunk, width);
+            sharded.push_shard(chunk, width).unwrap();
         }
         let monolithic = PointSet::from_vectors(&refs, final_universe);
         for metric in all_metrics() {
             let whole = monolithic.distances(metric);
-            let merged = sharded.condensed(metric);
+            let merged = sharded.condensed(metric).unwrap();
             for (a, b) in merged.as_slice().iter().zip(whole.as_slice()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "{:?}", metric);
             }

@@ -15,11 +15,19 @@
 //!   so far* ([`StreamSummarizer::history_summary`]) clusters over the
 //!   merged condensed matrix without recomputing any pairwise distance.
 //!
+//! There is one ingest path, [`StreamSummarizer::ingest_with`] (record
+//! text, multiplicity, optional timestamp), with
+//! [`StreamSummarizer::ingest`] as its multiplicity-1 shorthand; it and
+//! every other store-touching call ([`StreamSummarizer::flush`],
+//! [`StreamSummarizer::history_summary`],
+//! [`StreamSummarizer::from_state`]) return typed errors instead of
+//! panicking.
+//!
 //! # Window semantics
 //!
 //! Windows are **count-based** by default and multiplicity-weighted: a
 //! window closes once at least [`StreamConfig::window`] queries (not
-//! statements — an `ingest_with_count(sql, 500)` contributes 500) have
+//! statements — an `ingest_with(sql, 500, None)` contributes 500) have
 //! accumulated, at a statement boundary (a single ingest call is atomic,
 //! so a window may overshoot by the last statement's multiplicity).
 //!
@@ -43,10 +51,10 @@
 //! elapsed boundary, and the grid then skips to the first boundary past
 //! the arrival — the intermediate windows (including, for sliding
 //! windows, ones that would have re-spanned part of the buffer) emit
-//! nothing. Timestamps come from [`StreamSummarizer::ingest_at_ms`]
-//! (tests inject a synthetic clock this way); the plain
-//! [`StreamSummarizer::ingest`] front end stamps statements with the
-//! system clock. Non-monotonic timestamps are clamped forward: a late
+//! nothing. Timestamps come from [`StreamSummarizer::ingest_with`]'s
+//! `ts_ms` (tests inject a synthetic clock this way); `None` — and the
+//! plain [`StreamSummarizer::ingest`] shorthand — stamps statements with
+//! the system clock. Non-monotonic timestamps are clamped forward: a late
 //! arrival is treated as landing now.
 //!
 //! Only the *unseen* suffix of the stream (the queries since the previous
@@ -534,24 +542,16 @@ impl StreamSummarizer {
     /// restarts cold (buffered statements re-parse lazily on the next
     /// close — parse caching never changes an output bit).
     ///
+    /// An `Err` means the featurizer journal in `state.source_state` is
+    /// corrupt or belongs to a different source kind — callers recovering
+    /// from untrusted storage (the engine) report it as a typed error.
+    ///
     /// # Panics
     /// Panics on an invalid `config` (same contract as
-    /// [`StreamSummarizer::new`]), when `shards` and `state.history`
-    /// disagree on point count or universe width, or when the featurizer
-    /// journal fails to replay — callers recovering from untrusted
-    /// storage (the engine) use [`StreamSummarizer::try_from_state`] and
-    /// report that as a typed error.
-    pub fn from_state(config: StreamConfig, state: StreamState, shards: ShardedPointSet) -> Self {
-        Self::try_from_state(config, state, shards)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible restore; try_from_state is the typed-error route the Engine uses
-            .unwrap_or_else(|e| panic!("featurizer journal failed to replay: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::from_state`]: an `Err` means the
-    /// featurizer journal in `state.source_state` is corrupt or belongs
-    /// to a different source kind. Shard/history consistency stays a
-    /// panic contract (callers validate it first).
-    pub fn try_from_state(
+    /// [`StreamSummarizer::new`]), or when `shards` and `state.history`
+    /// disagree on point count or universe width (callers validate that
+    /// first).
+    pub fn from_state(
         config: StreamConfig,
         state: StreamState,
         shards: ShardedPointSet,
@@ -709,94 +709,12 @@ impl StreamSummarizer {
         }
     }
 
-    /// Ingest one statement occurring `count` times. Returns the closed
-    /// window's artifacts when this statement completes a window. In time
-    /// mode the statement is stamped with the system clock; use
-    /// [`StreamSummarizer::ingest_at_ms`] to supply timestamps.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_with_count`] reports that as a
-    /// typed error instead).
-    pub fn ingest_with_count(&mut self, sql: &str, count: u64) -> Option<WindowSummary> {
-        self.try_ingest_with_count(sql, count)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible ingest; try_ingest_with_count is the typed-error route the Engine uses
-            .unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Ingest one statement (multiplicity 1).
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest`] reports that as a typed error
-    /// instead).
-    pub fn ingest(&mut self, sql: &str) -> Option<WindowSummary> {
-        self.ingest_with_count(sql, 1)
-    }
-
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_at_ms`] reports that as a typed
-    /// error instead).
-    pub fn ingest_at_ms(&mut self, sql: &str, count: u64, ts_ms: u64) -> Option<WindowSummary> {
-        self.try_ingest_at_ms(sql, count, ts_ms)
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible ingest; try_ingest_at_ms is the typed-error route
-            .unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::ingest_with_count`] — the flavor
-    /// `logr::Engine` routes through, so store failures surface as typed
-    /// errors on its one error type instead of panics.
-    pub fn try_ingest_with_count(
-        &mut self,
-        sql: &str,
-        count: u64,
-    ) -> Result<Option<WindowSummary>, SpillError> {
-        let ts = if self.config.time.is_some() { Self::wall_clock_ms() } else { 0 };
-        self.try_ingest_at_ms(sql, count, ts)
-    }
-
-    /// Fallible [`StreamSummarizer::ingest`].
-    pub fn try_ingest(&mut self, sql: &str) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(sql, 1)
-    }
-
-    /// Ingest one raw record through the configured source. This is the
-    /// source-agnostic spelling of [`StreamSummarizer::ingest`]: the
-    /// record is a SQL statement under [`SourceConfig::Sql`] and a
-    /// free-form service-log line under [`SourceConfig::Template`] —
-    /// nothing on this path assumes SQL.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during a window close
-    /// ([`StreamSummarizer::try_ingest_record`] reports that as a typed
-    /// error instead).
-    pub fn ingest_record(&mut self, text: &str) -> Option<WindowSummary> {
-        self.ingest(text)
-    }
-
-    /// [`StreamSummarizer::ingest_record`] with a multiplicity.
-    ///
-    /// # Panics
-    /// Same contract as [`StreamSummarizer::ingest_with_count`].
-    pub fn ingest_record_with_count(&mut self, text: &str, count: u64) -> Option<WindowSummary> {
-        self.ingest_with_count(text, count)
-    }
-
-    /// Fallible [`StreamSummarizer::ingest_record`].
-    pub fn try_ingest_record(&mut self, text: &str) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(text, 1)
-    }
-
-    /// Fallible [`StreamSummarizer::ingest_record_with_count`].
-    pub fn try_ingest_record_with_count(
-        &mut self,
-        text: &str,
-        count: u64,
-    ) -> Result<Option<WindowSummary>, SpillError> {
-        self.try_ingest_with_count(text, count)
+    /// Ingest one record (multiplicity 1, timestamp from the default
+    /// clock) — shorthand for [`StreamSummarizer::ingest_with`]`(text, 1,
+    /// None)`. Returns the closed window's artifacts when this record
+    /// completes a window.
+    pub fn ingest(&mut self, text: &str) -> Result<Option<WindowSummary>, SpillError> {
+        self.ingest_with(text, 1, None)
     }
 
     /// The featurizer in force (the SQL pipeline or the template miner).
@@ -804,28 +722,40 @@ impl StreamSummarizer {
         self.featurizer.as_ref()
     }
 
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`
-    /// (milliseconds on any monotone clock — tests drive a synthetic
-    /// one). In time mode, a statement at or past the scheduled boundary
-    /// first closes the elapsed window (the statement itself lands in the
-    /// next one); in count mode the timestamp is recorded but boundaries
-    /// stay count-driven.
+    /// Ingest one record occurring `count` times — the one ingest path.
+    /// The record is raw text for the configured source: a SQL statement
+    /// under [`SourceConfig::Sql`], a free-form service-log line under
+    /// [`SourceConfig::Template`]. `ts_ms` is its arrival time in
+    /// milliseconds on any monotone clock (tests drive a synthetic one);
+    /// `None` stamps the system clock in time mode and 0 in count mode.
+    /// In time mode, a record at or past the scheduled boundary first
+    /// closes the elapsed window (the record itself lands in the next
+    /// one); in count mode the timestamp is recorded but boundaries stay
+    /// count-driven. Returns the closed window's artifacts when this
+    /// record completes a window.
     ///
     /// An `Err` means a window close failed against the spill store. The
     /// summarizer is then **wedged** — its history log and shard store
     /// may disagree, so every later call returns an error rather than
     /// risking silently wrong summaries; recover by rebuilding from the
     /// last persisted state ([`StreamSummarizer::from_state`]).
-    pub fn try_ingest_at_ms(
+    pub fn ingest_with(
         &mut self,
-        sql: &str,
+        text: &str,
         count: u64,
-        ts_ms: u64,
+        ts_ms: Option<u64>,
     ) -> Result<Option<WindowSummary>, SpillError> {
         self.check_wedged()?;
         if count == 0 {
             return Ok(None);
         }
+        let ts_ms = ts_ms.unwrap_or_else(|| {
+            if self.config.time.is_some() {
+                Self::wall_clock_ms()
+            } else {
+                0
+            }
+        });
         self.last_ts_ms = self.last_ts_ms.max(ts_ms);
         let ts = self.last_ts_ms;
 
@@ -852,15 +782,15 @@ impl StreamSummarizer {
             }
         }
 
-        self.cache_acquire(sql);
-        self.buffer.push_back((sql.to_string(), count, ts));
+        self.cache_acquire(text);
+        self.buffer.push_back((text.to_string(), count, ts));
         self.buffer_total += count;
         self.since_close += count;
         if self.is_sliding() {
             // Sliding only: the unseen stride differs from the (overlapping)
             // window buffer. Tumbling absorbs the window log itself.
-            self.cache_acquire(sql);
-            self.pending.push((sql.to_string(), count));
+            self.cache_acquire(text);
+            self.pending.push((text.to_string(), count));
         }
 
         if self.config.time.is_none() {
@@ -884,19 +814,9 @@ impl StreamSummarizer {
 
     /// Close a partial window (end of stream / forced checkpoint).
     /// `None` when nothing has arrived since the last close. Time mode
-    /// closes at "now" — just past the last seen timestamp.
-    ///
-    /// # Panics
-    /// Panics on a spill-store failure during the close
-    /// ([`StreamSummarizer::try_flush`] reports that as a typed error
-    /// instead).
-    pub fn flush(&mut self) -> Option<WindowSummary> {
-        // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible flush; try_flush is the typed-error route
-        self.try_flush().unwrap_or_else(|e| panic!("shard spill store failed during append: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::flush`].
-    pub fn try_flush(&mut self) -> Result<Option<WindowSummary>, SpillError> {
+    /// closes at "now" — just past the last seen timestamp. An `Err`
+    /// wedges the summarizer, as in [`StreamSummarizer::ingest_with`].
+    pub fn flush(&mut self) -> Result<Option<WindowSummary>, SpillError> {
         self.check_wedged()?;
         let boundary = self.config.time.map(|_| self.last_ts_ms.saturating_add(1));
         if self.since_close > 0 {
@@ -924,25 +844,13 @@ impl StreamSummarizer {
     /// `k`-mixture for the whole stream at the cost of a dendrogram build,
     /// with zero recomputed distances (spilled shards stream through the
     /// merge one at a time). `None` before any distinct query has been
-    /// absorbed.
-    ///
-    /// # Panics
-    /// Panics if a spilled shard cannot be reloaded
-    /// ([`StreamSummarizer::try_history_summary`] reports that as a typed
-    /// error instead).
-    pub fn history_summary(&self) -> Option<LogRSummary> {
-        self.try_history_summary()
-            // lint:allow(no-panic-paths): documented "# Panics" contract of the legacy infallible summary; try_history_summary is the typed-error route
-            .unwrap_or_else(|e| panic!("history summary over the spill store failed: {e}"))
-    }
-
-    /// Fallible [`StreamSummarizer::history_summary`].
-    pub fn try_history_summary(&self) -> Result<Option<LogRSummary>, SpillError> {
+    /// absorbed; `Err` if a spilled shard cannot be reloaded.
+    pub fn history_summary(&self) -> Result<Option<LogRSummary>, SpillError> {
         self.check_wedged()?;
         if self.history.distinct_count() == 0 {
             return Ok(None);
         }
-        let dist = self.shards.try_condensed(self.config.metric)?;
+        let dist = self.shards.condensed(self.config.metric)?;
         Ok(Some(self.compressor().compress_condensed(&self.history, dist)))
     }
 
@@ -1064,7 +972,7 @@ impl StreamSummarizer {
     /// Close the current window at `boundary` (time mode's scheduled
     /// boundary; `None` for count mode / count flush). An `Err` (spill
     /// store failed while appending the window's shard) wedges the
-    /// summarizer — see [`StreamSummarizer::try_ingest_at_ms`].
+    /// summarizer — see [`StreamSummarizer::ingest_with`].
     fn close_window(&mut self, boundary: Option<u64>) -> Result<WindowSummary, SpillError> {
         let window_queries = self.since_close;
         if self.is_sliding() {
@@ -1152,9 +1060,8 @@ impl StreamSummarizer {
         let new_distinct = new_entries.len();
         // A store failure here is fatal for the stream: the history log
         // already absorbed the stride, so the set and the log would
-        // disagree. Wedge and surface the typed error (the infallible
-        // `ingest` front ends turn it into the historical panic).
-        if let Err(e) = self.shards.try_push_shard(&new_entries, self.history.num_features()) {
+        // disagree. Wedge and surface the typed error.
+        if let Err(e) = self.shards.push_shard(&new_entries, self.history.num_features()) {
             self.wedged = true;
             return Err(e);
         }
@@ -1236,7 +1143,7 @@ mod tests {
             StreamSummarizer::new(StreamConfig { window: 30, k: 2, ..StreamConfig::default() });
         let mut summaries = Vec::new();
         for i in 0..60 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.ingest(&messaging(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1246,7 +1153,7 @@ mod tests {
             } else {
                 messaging(i)
             };
-            if let Some(w) = s.ingest(&sql) {
+            if let Some(w) = s.ingest(&sql).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1278,7 +1185,7 @@ mod tests {
 
         // History covers the whole stream; its sharded summary works.
         assert_eq!(s.history().total_queries(), 90);
-        let hist = s.history_summary().unwrap();
+        let hist = s.history_summary().unwrap().unwrap();
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1287,17 +1194,17 @@ mod tests {
         let mut s = StreamSummarizer::new(StreamConfig { window: 10, ..StreamConfig::default() });
         let mut closed = 0;
         for i in 0..35 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.ingest(&messaging(i)).unwrap() {
                 assert_eq!(w.queries, 10);
                 closed += 1;
             }
         }
         assert_eq!(closed, 3);
         assert_eq!(s.buffered_queries(), 5);
-        let tail = s.flush().unwrap();
+        let tail = s.flush().unwrap().unwrap();
         assert_eq!(tail.queries, 5);
         assert_eq!(tail.index, 3);
-        assert!(s.flush().is_none());
+        assert!(s.flush().unwrap().is_none());
         assert_eq!(s.history().total_queries(), 35);
     }
 
@@ -1310,7 +1217,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..40 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.ingest(&messaging(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1328,9 +1235,9 @@ mod tests {
     #[test]
     fn multiplicity_counts_toward_window_size() {
         let mut s = StreamSummarizer::new(StreamConfig { window: 100, ..StreamConfig::default() });
-        assert!(s.ingest_with_count(&messaging(0), 60).is_none());
-        assert!(s.ingest_with_count(&messaging(0), 0).is_none());
-        let w = s.ingest_with_count(&messaging(1), 60).unwrap();
+        assert!(s.ingest_with(&messaging(0), 60, None).unwrap().is_none());
+        assert!(s.ingest_with(&messaging(0), 0, None).unwrap().is_none());
+        let w = s.ingest_with(&messaging(1), 60, None).unwrap().unwrap();
         // Window overshoots at statement granularity.
         assert_eq!(w.queries, 120);
         assert_eq!(w.distinct, 2);
@@ -1345,12 +1252,12 @@ mod tests {
         });
         // Two messaging windows, then three banking windows.
         for i in 0..40 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
         }
         let mut flagged = None;
         let mut later = None;
         for i in 0..60 {
-            if let Some(w) = s.ingest(&banking(i)) {
+            if let Some(w) = s.ingest(&banking(i)).unwrap() {
                 if w.index == 2 {
                     flagged = Some(w);
                 } else if w.index == 4 {
@@ -1383,16 +1290,16 @@ mod tests {
         });
         let mut i = 0u64;
         for _ in 0..40 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
             i += 1;
         }
         // Inject one query; it lives in the stream for the next 4
         // overlapping windows.
-        s.ingest("SELECT password_hash FROM credentials");
+        s.ingest("SELECT password_hash FROM credentials").unwrap();
         let mut flagged = 0;
         let mut inspected = 0;
         while inspected < 3 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.ingest(&messaging(i)).unwrap() {
                 inspected += 1;
                 assert!(
                     w.log.codebook().iter().any(|(_, f)| f.to_string().contains("credentials")),
@@ -1428,20 +1335,20 @@ mod tests {
         });
         let mut i = 0u64;
         for _ in 0..18 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
             i += 1;
         }
-        s.ingest("SELECT password_hash FROM credentials"); // tail of stride 0
-        s.ingest(&messaging(i)); // closes window 0 (20-query stride)
+        s.ingest("SELECT password_hash FROM credentials").unwrap(); // tail of stride 0
+        s.ingest(&messaging(i)).unwrap(); // closes window 0 (20-query stride)
         i += 1;
         for _ in 0..2 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
             i += 1;
         }
-        s.flush(); // 2-query stride: stride sizes now vary
+        s.flush().unwrap(); // 2-query stride: stride sizes now vary
         let mut judged_windows = 0;
         for _ in 0..25 {
-            if let Some(w) = s.ingest(&messaging(i)) {
+            if let Some(w) = s.ingest(&messaging(i)).unwrap() {
                 if w.drift.is_some() {
                     judged_windows += 1;
                     let contains_injection =
@@ -1468,15 +1375,15 @@ mod tests {
         let mut s =
             StreamSummarizer::new(StreamConfig { window: 15, k: 2, ..StreamConfig::default() });
         for i in 0..30 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
         }
         for i in 0..15 {
-            s.ingest(&banking(i));
+            s.ingest(&banking(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 3);
         // The streamed history summary equals a batch hierarchical
         // compression of the absorbed history log.
-        let streamed = s.history_summary().unwrap();
+        let streamed = s.history_summary().unwrap().unwrap();
         let points = PointSet::from_log(s.history());
         let weights: Vec<f64> = s.history().entries().iter().map(|&(_, c)| c as f64).collect();
         let dendro = hierarchical_cluster_pointset(&points, &weights, Distance::Hamming);
@@ -1486,19 +1393,19 @@ mod tests {
     #[test]
     fn empty_stream_and_unparseable_windows_are_handled() {
         let mut s = StreamSummarizer::new(StreamConfig { window: 3, ..StreamConfig::default() });
-        assert!(s.history_summary().is_none());
-        assert!(s.flush().is_none());
+        assert!(s.history_summary().unwrap().is_none());
+        assert!(s.flush().unwrap().is_none());
         // A window of pure garbage still closes and keeps counting.
         for _ in 0..3 {
-            s.ingest("THIS IS NOT SQL @@@");
+            s.ingest("THIS IS NOT SQL @@@").unwrap();
         }
         assert_eq!(s.windows_closed(), 1);
-        assert!(s.history_summary().is_none(), "no parsed queries yet");
+        assert!(s.history_summary().unwrap().is_none(), "no parsed queries yet");
         for i in 0..3 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
-        assert!(s.history_summary().is_some());
+        assert!(s.history_summary().unwrap().is_some());
     }
 
     #[test]
@@ -1533,27 +1440,27 @@ mod tests {
         // Ten statements inside [50, 150): no close until the clock
         // passes 150.
         for i in 0..10u64 {
-            let w = s.ingest_at_ms(&messaging(i), 1, 50 + i * 10);
+            let w = s.ingest_with(&messaging(i), 1, Some(50 + i * 10)).unwrap();
             assert!(w.is_none(), "premature close at ts {}", 50 + i * 10);
         }
         // ts 155 crosses the boundary at 150: the elapsed window closes
         // with the 10 buffered queries, and the arrival starts the next.
-        let w = s.ingest_at_ms(&messaging(10), 1, 155).expect("boundary close");
+        let w = s.ingest_with(&messaging(10), 1, Some(155)).unwrap().expect("boundary close");
         assert_eq!(w.queries, 10);
         assert_eq!(w.closed_at_ms, Some(150));
         summaries.push(w);
         // A long idle gap collapses: the next arrival at 990 closes the
         // one window that held ts 155 (empty windows emit nothing), and
         // the grid stays anchored at 50 (990 lands in [950, 1050)).
-        let w = s.ingest_at_ms(&messaging(11), 1, 990).expect("gap close");
+        let w = s.ingest_with(&messaging(11), 1, Some(990)).unwrap().expect("gap close");
         assert_eq!(w.queries, 1);
         assert_eq!(w.closed_at_ms, Some(250));
-        let w = s.ingest_at_ms(&messaging(12), 1, 1050).expect("grid-aligned close");
+        let w = s.ingest_with(&messaging(12), 1, Some(1050)).unwrap().expect("grid-aligned close");
         assert_eq!(w.closed_at_ms, Some(1050), "boundary grid anchored at the first arrival");
         // Out-of-order timestamps clamp forward instead of closing early.
-        assert!(s.ingest_at_ms(&messaging(13), 1, 10).is_none());
+        assert!(s.ingest_with(&messaging(13), 1, Some(10)).unwrap().is_none());
         assert_eq!(s.history().total_queries() + s.buffered_queries(), 14);
-        let tail = s.flush().unwrap();
+        let tail = s.flush().unwrap().unwrap();
         assert_eq!(tail.queries, 2);
         assert_eq!(tail.closed_at_ms, Some(1051), "flush closes just past the last arrival");
     }
@@ -1567,7 +1474,7 @@ mod tests {
         // One statement every 10 ms from ts 0.
         let mut summaries = Vec::new();
         for i in 0..30u64 {
-            if let Some(w) = s.ingest_at_ms(&messaging(i), 1, i * 10) {
+            if let Some(w) = s.ingest_with(&messaging(i), 1, Some(i * 10)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1595,13 +1502,13 @@ mod tests {
             time: Some(TimeWindows { window_ms: 2, slide_ms: Some(1) }),
             ..StreamConfig::default()
         });
-        assert!(s.ingest_at_ms(&messaging(0), 1, 0).is_none());
-        let w = s.ingest_at_ms(&messaging(1), 1, u64::MAX).expect("gap close");
+        assert!(s.ingest_with(&messaging(0), 1, Some(0)).unwrap().is_none());
+        let w = s.ingest_with(&messaging(1), 1, Some(u64::MAX)).unwrap().expect("gap close");
         assert_eq!(w.queries, 1);
         assert_eq!(w.closed_at_ms, Some(2));
         // The grid is saturated at u64::MAX now; further arrivals keep
         // closing (ts >= boundary) without ever looping.
-        let w = s.ingest_at_ms(&messaging(2), 1, u64::MAX).expect("saturated close");
+        let w = s.ingest_with(&messaging(2), 1, Some(u64::MAX)).unwrap().expect("saturated close");
         assert_eq!(w.queries, 1);
     }
 
@@ -1619,7 +1526,7 @@ mod tests {
         });
         let mut closes = 0;
         for i in 0..40 {
-            if s.ingest(&messaging(i)).is_some() {
+            if s.ingest(&messaging(i)).unwrap().is_some() {
                 closes += 1;
             }
         }
@@ -1648,7 +1555,7 @@ mod tests {
         });
         let mut last = None;
         for sql in &statements {
-            if let Some(w) = s.ingest(sql) {
+            if let Some(w) = s.ingest(sql).unwrap() {
                 last = Some(w);
             }
         }
@@ -1669,7 +1576,7 @@ mod tests {
         // own window, and memory stays bounded by the live window).
         let mut s = StreamSummarizer::new(StreamConfig { window: 6, ..StreamConfig::default() });
         for i in 0..12 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
         }
         assert_eq!(s.windows_closed(), 2);
         assert!(s.cache.is_empty(), "cache must drain with the tumbling buffer");
@@ -1688,7 +1595,7 @@ mod tests {
         original.spill_to(store.path(), usize::MAX).unwrap();
         for i in 0..31 {
             let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
-            original.ingest(&sql);
+            original.ingest(&sql).unwrap();
         }
         original.persist_shards().unwrap();
         let state = original.export_state();
@@ -1700,13 +1607,13 @@ mod tests {
             &files,
         )
         .unwrap();
-        let mut restored = StreamSummarizer::from_state(config, state, shards);
+        let mut restored = StreamSummarizer::from_state(config, state, shards).unwrap();
         assert_eq!(restored.windows_closed(), original.windows_closed());
         assert_eq!(restored.buffered_queries(), original.buffered_queries());
 
         for i in 31..80 {
             let sql = if i % 3 == 0 { banking(i) } else { messaging(i) };
-            let (a, b) = (original.ingest(&sql), restored.ingest(&sql));
+            let (a, b) = (original.ingest(&sql).unwrap(), restored.ingest(&sql).unwrap());
             assert_eq!(a.is_some(), b.is_some(), "close parity at {i}");
             if let (Some(a), Some(b)) = (a, b) {
                 assert_eq!(a.index, b.index);
@@ -1721,7 +1628,10 @@ mod tests {
                 }
             }
         }
-        let (a, b) = (original.history_summary().unwrap(), restored.history_summary().unwrap());
+        let (a, b) = (
+            original.history_summary().unwrap().unwrap(),
+            restored.history_summary().unwrap().unwrap(),
+        );
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1797,9 +1707,9 @@ mod tests {
             for i in 0..40u64 {
                 let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
                 let closed = if timed {
-                    s.ingest_at_ms(&sql, 1, i * 10).is_some()
+                    s.ingest_with(&sql, 1, Some(i * 10)).unwrap().is_some()
                 } else {
-                    s.ingest(&sql).is_some()
+                    s.ingest(&sql).unwrap().is_some()
                 };
                 let now = s.export_state();
                 if closed {
@@ -1846,7 +1756,7 @@ mod tests {
             StreamSummarizer::new(StreamConfig { window: 5, k: 2, ..StreamConfig::default() });
         s.spill_to(store.path(), 0).unwrap();
         for i in 0..10 {
-            s.ingest(&messaging(i));
+            s.ingest(&messaging(i)).unwrap();
         }
         assert!(s.spilled_shards() > 0);
         // Vaporize the store, drop the reload cache via a compact-free
@@ -1856,7 +1766,7 @@ mod tests {
         }
         let mut failed = None;
         for i in 0..10 {
-            match s.try_ingest(&banking(i)) {
+            match s.ingest(&banking(i)) {
                 Ok(_) => {}
                 Err(e) => {
                     failed = Some(e);
@@ -1867,9 +1777,9 @@ mod tests {
         let err = failed.expect("a close against the gutted store must fail");
         assert!(matches!(err, SpillError::Io(_)), "{err}");
         // Wedged: every later entry point refuses with a typed error.
-        assert!(matches!(s.try_ingest("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
-        assert!(matches!(s.try_flush(), Err(SpillError::Corrupt(_))));
-        assert!(matches!(s.try_history_summary(), Err(SpillError::Corrupt(_))));
+        assert!(matches!(s.ingest("SELECT a FROM t"), Err(SpillError::Corrupt(_))));
+        assert!(matches!(s.flush(), Err(SpillError::Corrupt(_))));
+        assert!(matches!(s.history_summary(), Err(SpillError::Corrupt(_))));
     }
 
     #[test]
@@ -1887,7 +1797,7 @@ mod tests {
             StreamSummarizer::new(StreamConfig { window: 10, k: 2, ..StreamConfig::default() });
         for i in 0..40 {
             let sql = if i % 2 == 0 { messaging(i) } else { banking(i) };
-            let (a, b) = (spilled.ingest(&sql), resident.ingest(&sql));
+            let (a, b) = (spilled.ingest(&sql).unwrap(), resident.ingest(&sql).unwrap());
             assert_eq!(a.is_some(), b.is_some());
             if let (Some(a), Some(b)) = (a, b) {
                 assert_eq!(a.summary.clustering, b.summary.clustering);
@@ -1896,7 +1806,10 @@ mod tests {
             }
         }
         assert!(spilled.spilled_shards() > 0, "the budget must have forced evictions");
-        let (a, b) = (spilled.history_summary().unwrap(), resident.history_summary().unwrap());
+        let (a, b) = (
+            spilled.history_summary().unwrap().unwrap(),
+            resident.history_summary().unwrap().unwrap(),
+        );
         assert_eq!(a.clustering, b.clustering);
         assert_eq!(a.error().to_bits(), b.error().to_bits());
     }
@@ -1922,7 +1835,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..48 {
-            if let Some(w) = s.ingest_record(&service_line(i)) {
+            if let Some(w) = s.ingest(&service_line(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1940,7 +1853,7 @@ mod tests {
                 "unexpected class on the template path: {f}"
             );
         }
-        let hist = s.history_summary().expect("history summary over mined features");
+        let hist = s.history_summary().unwrap().expect("history summary over mined features");
         assert_eq!(hist.clustering.len(), s.history().distinct_count());
     }
 
@@ -1954,7 +1867,7 @@ mod tests {
         });
         let mut summaries = Vec::new();
         for i in 0..40 {
-            if let Some(w) = s.ingest_record(&service_line(i)) {
+            if let Some(w) = s.ingest(&service_line(i)).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1964,7 +1877,7 @@ mod tests {
             } else {
                 service_line(i)
             };
-            if let Some(w) = s.ingest_record(&line) {
+            if let Some(w) = s.ingest(&line).unwrap() {
                 summaries.push(w);
             }
         }
@@ -1991,7 +1904,7 @@ mod tests {
         let mut original = StreamSummarizer::new(config);
         original.spill_to(store.path(), usize::MAX).unwrap();
         for i in 0..31 {
-            original.ingest_record(&service_line(i));
+            original.ingest(&service_line(i)).unwrap();
         }
         original.persist_shards().unwrap();
         let state = original.export_state();
@@ -2004,11 +1917,11 @@ mod tests {
             &files,
         )
         .unwrap();
-        let mut restored = StreamSummarizer::try_from_state(config, state, shards).unwrap();
+        let mut restored = StreamSummarizer::from_state(config, state, shards).unwrap();
         for i in 31..90 {
             let (a, b) = (
-                original.ingest_record(&service_line(i)),
-                restored.ingest_record(&service_line(i)),
+                original.ingest(&service_line(i)).unwrap(),
+                restored.ingest(&service_line(i)).unwrap(),
             );
             assert_eq!(a.is_some(), b.is_some(), "close parity at {i}");
             if let (Some(a), Some(b)) = (a, b) {
@@ -2036,11 +1949,11 @@ mod tests {
             StreamConfig { window: 8, source: SourceConfig::template(), ..StreamConfig::default() };
         let mut s = StreamSummarizer::new(config);
         for i in 0..8 {
-            s.ingest_record(&service_line(i));
+            s.ingest(&service_line(i)).unwrap();
         }
         let mut state = s.export_state();
         state.source_state.truncate(state.source_state.len() - 1);
-        assert!(StreamSummarizer::try_from_state(config, state, ShardedPointSet::new()).is_err());
+        assert!(StreamSummarizer::from_state(config, state, ShardedPointSet::new()).is_err());
     }
 
     #[test]

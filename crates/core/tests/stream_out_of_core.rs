@@ -106,7 +106,7 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
     let mut peak_resident = 0usize;
     let mut closes = 0usize;
     for (n, sql) in statements().iter().enumerate() {
-        let (a, b) = (bounded.ingest(sql), unbounded.ingest(sql));
+        let (a, b) = (bounded.ingest(sql).unwrap(), unbounded.ingest(sql).unwrap());
         assert_eq!(a.is_some(), b.is_some(), "close parity at statement {n}");
         if let (Some(a), Some(b)) = (a, b) {
             closes += 1;
@@ -123,7 +123,8 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
         // Mid-stream history summaries read across the resident/spilled
         // mix (reload-on-demand under the close path's nose).
         if n == 450 {
-            let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+            let (ha, hb) =
+                (bounded.history_summary().unwrap(), unbounded.history_summary().unwrap());
             assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "mid-stream history");
         }
     }
@@ -148,11 +149,11 @@ fn bounded_memory_stream_is_byte_identical_and_respects_the_budget() {
     assert!(peak_resident > 0);
 
     // Final history summary over a almost-fully-spilled history.
-    let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+    let (ha, hb) = (bounded.history_summary().unwrap(), unbounded.history_summary().unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "final history");
 
     // Flush parity for the tail (nothing buffered here, both agree).
-    assert_eq!(bounded.flush().is_some(), unbounded.flush().is_some());
+    assert_eq!(bounded.flush().unwrap().is_some(), unbounded.flush().unwrap().is_some());
 }
 
 #[test]
@@ -171,7 +172,7 @@ fn bounded_sliding_stream_matches_too() {
     bounded.spill_to(store.path(), 0).unwrap(); // only the pinned tail stays
     let mut unbounded = StreamSummarizer::new(config);
     for sql in statements().iter().take(200) {
-        let (a, b) = (bounded.ingest(sql), unbounded.ingest(sql));
+        let (a, b) = (bounded.ingest(sql).unwrap(), unbounded.ingest(sql).unwrap());
         assert_eq!(a.is_some(), b.is_some());
         if let (Some(a), Some(b)) = (a, b) {
             assert_window_identical(&a, &b);
@@ -181,6 +182,6 @@ fn bounded_sliding_stream_matches_too() {
     // Both parse each distinct statement exactly once (the cache is
     // orthogonal to the store).
     assert_eq!(bounded.statements_parsed(), unbounded.statements_parsed());
-    let (ha, hb) = (bounded.history_summary(), unbounded.history_summary());
+    let (ha, hb) = (bounded.history_summary().unwrap(), unbounded.history_summary().unwrap());
     assert_summary_identical(&ha.unwrap(), &hb.unwrap(), "sliding history");
 }

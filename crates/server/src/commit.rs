@@ -159,6 +159,10 @@ impl Vfs for GroupCommitVfs {
     fn create_exclusive(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.inner.create_exclusive(path, bytes)
     }
+
+    fn fs_id(&self) -> u64 {
+        self.inner.fs_id()
+    }
 }
 
 #[cfg(test)]

@@ -9,6 +9,13 @@
 //! `logr::analytics` read surface off lock-free snapshots. Built on
 //! `std::net` only: no runtime, no serialization dependency.
 //!
+//! The daemon adds no engine paths of its own: every `ingest` frame runs
+//! each record through the engine's one write call,
+//! [`logr::Engine::ingest`], and every read frame answers from the one
+//! read surface, [`logr::Engine::snapshot`] (estimates through
+//! [`logr::EngineSnapshot::query`], advice through the
+//! `logr::analytics` advisors over the snapshot).
+//!
 //! ```no_run
 //! use logr_server::{Server, ServerConfig};
 //! let server = Server::bind(ServerConfig::new("/var/lib/logr"), "127.0.0.1:7878")?;

@@ -614,17 +614,17 @@ fn run_write(tenant: &Tenant, kind: WriteKind) -> Result<Json, ServerError> {
         WriteKind::Ingest(records) => {
             let count = records.len();
             let mut closed = 0u64;
-            // The source-agnostic entry point: the tenant's configured
-            // featurizer decides whether a record is SQL or a log line.
+            // Source-agnostic: the tenant's configured featurizer decides
+            // whether a record is SQL or a log line.
             for record in &records {
-                if tenant.engine.ingest_record(record)?.is_some() {
+                if tenant.engine.ingest(record)?.is_some() {
                     closed += 1;
                 }
             }
             Ok(obj(vec![
                 ("ingested", n(count as f64)),
                 ("closed", n(closed as f64)),
-                ("windows_closed", n(tenant.engine.windows_closed()? as f64)),
+                ("windows_closed", n(tenant.engine.snapshot()?.windows_closed() as f64)),
             ]))
         }
         WriteKind::Flush => {
@@ -677,7 +677,7 @@ fn budget_json(bytes: usize) -> Json {
 
 fn tenant_stats(tenant: &Tenant, budget: usize) -> Result<Json, ServerError> {
     Ok(obj(vec![
-        ("windows_closed", n(tenant.engine.windows_closed()? as f64)),
+        ("windows_closed", n(tenant.engine.snapshot()?.windows_closed() as f64)),
         ("total_queries", n(tenant.engine.total_queries()? as f64)),
         ("spilled_shards", n(tenant.engine.spilled_shards()? as f64)),
         ("resident_shard_bytes", n(tenant.engine.resident_shard_bytes()? as f64)),

@@ -157,7 +157,7 @@ impl TenantRegistry {
         validate_name(name)?;
         let mut tenants = self.lock_tenants()?;
         if let Some(t) = tenants.get(name) {
-            Self::check_source(name, t.engine.source()?, source)?;
+            Self::check_source(name, &t.engine, source)?;
             return Ok(t.clone());
         }
         let share = self.share_at(tenants.len() + 1);
@@ -173,7 +173,7 @@ impl TenantRegistry {
         // A resumed store keeps its manifest's source; dropping the
         // engine here releases the store lock before we report the
         // conflict.
-        if let Err(e) = Self::check_source(name, engine.source()?, source) {
+        if let Err(e) = Self::check_source(name, &engine, source) {
             drop(engine);
             return Err(e);
         }
@@ -232,15 +232,19 @@ impl TenantRegistry {
     /// the tenant's engine actually runs.
     fn check_source(
         name: &str,
-        actual: SourceConfig,
+        engine: &Engine,
         requested: Option<SourceConfig>,
     ) -> Result<(), ServerError> {
-        match requested {
-            Some(requested) if requested != actual => Err(protocol(format!(
+        // Frames without an explicit source (the common case) never
+        // touch the engine here.
+        let Some(requested) = requested else { return Ok(()) };
+        let actual = engine.snapshot()?.source();
+        if requested != actual {
+            return Err(protocol(format!(
                 "tenant \"{name}\" runs source {actual:?} but the request asked for {requested:?}"
-            ))),
-            _ => Ok(()),
+            )));
         }
+        Ok(())
     }
 
     fn apportion(tenants: &BTreeMap<String, Arc<Tenant>>, share: usize) -> Result<(), ServerError> {

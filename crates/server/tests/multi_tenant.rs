@@ -149,10 +149,19 @@ fn protocol_smoke_and_typed_error_frames() {
         c.ok("{\"op\":\"advise\",\"tenant\":\"alpha\",\"advisor\":\"index\",\"min_share\":0.01}");
     assert!(advice.as_arr().is_some());
 
-    // Global stats see the tenant.
+    // Global stats see the tenant, counting the records still buffered
+    // in its open window, not only those up to the last close.
+    let partial: Vec<String> =
+        (0..5).map(|i| format!("\"{}\"", statement("alpha", 2 * WINDOW + i))).collect();
+    c.ok(&format!(
+        "{{\"op\":\"ingest\",\"tenant\":\"alpha\",\"statements\":[{}]}}",
+        partial.join(",")
+    ));
     let stats = c.ok("{\"op\":\"stats\"}");
     assert_eq!(field_u64(&stats, "tenants"), 1);
-    assert!(stats.get("per_tenant").and_then(|t| t.get("alpha")).is_some());
+    let alpha = stats.get("per_tenant").and_then(|t| t.get("alpha")).expect("alpha stats");
+    assert_eq!(field_u64(alpha, "windows_closed"), 2);
+    assert_eq!(field_u64(alpha, "total_queries"), 2 * WINDOW + 5);
 
     handle.shutdown();
     handle.join().expect("clean shutdown");

@@ -35,7 +35,7 @@ fn main() -> Result<(), Error> {
     writer.checkpoint()?;
     println!(
         "writer: {} windows closed, {} queries, store at {}",
-        writer.windows_closed()?,
+        writer.snapshot()?.windows_closed(),
         writer.total_queries()?,
         dir.display()
     );
@@ -54,10 +54,10 @@ fn main() -> Result<(), Error> {
     println!("read-only open beside the live writer: ok (read_only = {})", reader.is_read_only());
 
     // The full read surface works: history summary and analytics.
-    let summary = reader.summary()?.expect("three checkpointed windows");
+    let summary = reader.snapshot()?.summary()?.expect("three checkpointed windows");
     println!(
         "reader sees {} windows / {} queries; summary error {:.4}",
-        reader.windows_closed()?,
+        reader.snapshot()?.windows_closed(),
         reader.total_queries()?,
         summary.error()
     );

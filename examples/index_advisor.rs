@@ -32,7 +32,7 @@ fn main() -> Result<(), Error> {
 
     let engine = Engine::builder().window(4096).clusters(8).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest_with(sql, *count, None)?;
     }
     engine.flush()?;
 

@@ -68,7 +68,7 @@ fn main() -> Result<(), Error> {
     // build up the rolling baseline…
     for _ in 0..4 {
         for (sql, count) in synthetic.statements.iter().take(120) {
-            if let Some(w) = engine.ingest_with_count(sql, *count % 7 + 1)? {
+            if let Some(w) = engine.ingest_with(sql, *count % 7 + 1, None)? {
                 report_window(&w);
                 windows.push(w);
             }
@@ -84,13 +84,13 @@ fn main() -> Result<(), Error> {
 
     // …then the scan runs hot inside otherwise-normal traffic.
     for (sql, count) in synthetic.statements.iter().take(60) {
-        if let Some(w) = engine.ingest_with_count(sql, *count % 7 + 1)? {
+        if let Some(w) = engine.ingest_with(sql, *count % 7 + 1, None)? {
             report_window(&w);
             windows.push(w);
         }
     }
     for sql in injected {
-        if let Some(w) = engine.ingest_with_count(sql, 40)? {
+        if let Some(w) = engine.ingest_with(sql, 40, None)? {
             report_window(&w);
             windows.push(w);
         }

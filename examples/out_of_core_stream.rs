@@ -17,7 +17,8 @@
 //! integer mismatch counts and bit-packed points — reloads are
 //! bit-exact); after a simulated crash the reopened engine must agree
 //! too. A final section closes windows on a wall-clock grid via
-//! `ingest_at_ms` — the time-based flavor a production tail would use.
+//! `ingest_with(.., Some(ts_ms))` — the time-based flavor a production
+//! tail would use.
 //!
 //! Run with: `cargo run --release --example out_of_core_stream`
 
@@ -63,7 +64,7 @@ fn main() -> Result<(), Error> {
     println!(
         "in-memory : {:>8} bytes, {} windows all resident",
         unbounded.resident_shard_bytes()?,
-        unbounded.windows_closed()?
+        unbounded.snapshot()?.windows_closed()
     );
     println!(
         "durable   : {:>8} bytes peak (budget {BUDGET}), {} shards on disk",
@@ -74,8 +75,8 @@ fn main() -> Result<(), Error> {
 
     // The summaries are bit-identical: reloaded shards serve the exact
     // mismatch counts the resident ones would.
-    let a = unbounded.summary()?.expect("history");
-    let b = bounded.summary()?.expect("history");
+    let a = unbounded.snapshot()?.summary()?.expect("history");
+    let b = bounded.snapshot()?.summary()?.expect("history");
     assert_eq!(a.clustering, b.clustering);
     assert_eq!(a.error().to_bits(), b.error().to_bits());
     println!(
@@ -92,21 +93,21 @@ fn main() -> Result<(), Error> {
     let files_before = std::fs::read_dir(&dir)?.count();
     let merged = bounded.compact()?;
     println!("compacted {merged} shards into one file, summaries unchanged");
-    let c = bounded.summary()?.expect("history");
+    let c = bounded.snapshot()?.summary()?.expect("history");
     assert_eq!(b.clustering, c.clustering);
 
     // ---- Crash + recovery: drop everything, reopen, agree. -------------
     drop(bounded);
     let reopened = Engine::open(&dir)?;
     let files_after = std::fs::read_dir(&dir)?.count();
-    let d = reopened.summary()?.expect("history");
+    let d = reopened.snapshot()?.summary()?.expect("history");
     assert_eq!(a.clustering, d.clustering);
     assert_eq!(a.error().to_bits(), d.error().to_bits());
     println!(
         "reopened from {} after a simulated crash: {} windows, summary bit-identical; \
          recovery swept the store from {files_before} files to {files_after}",
         dir.display(),
-        reopened.windows_closed()?
+        reopened.snapshot()?.windows_closed()
     );
 
     // ---- Time-based windows (wall-clock grid, injected here). ----------
@@ -117,7 +118,7 @@ fn main() -> Result<(), Error> {
     println!("=== time-based tumbling windows (1 s grid) ===");
     // ~3.3 statements per second for five seconds.
     for i in 0..17u64 {
-        if let Some(w) = timed.ingest_at_ms(&statement(i as usize), 1, i * 300)? {
+        if let Some(w) = timed.ingest_with(&statement(i as usize), 1, Some(i * 300))? {
             println!(
                 "window {} closed at t={}ms: {} queries, {} distinct",
                 w.index,

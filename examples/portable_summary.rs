@@ -26,7 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let engine = Engine::builder().window(1 << 21).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest_with(sql, *count, None)?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

@@ -21,7 +21,7 @@ fn main() -> Result<(), Error> {
     let synthetic = generate_pocketdata(&PocketDataConfig::default());
     let engine = Engine::builder().window(1 << 21).clusters(8).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest_with(sql, *count, None)?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

@@ -41,15 +41,15 @@ fn main() -> Result<(), Error> {
 
     // Phase 1: steady traffic builds the rolling baseline.
     for i in 0..6 * 128 {
-        engine.ingest_record(&steady_line(i))?;
+        engine.ingest(&steady_line(i))?;
     }
 
     // Phase 2: the incident — timeouts flood in among normal lines.
     for i in 0..128 {
         if i % 2 == 0 {
-            engine.ingest_record(&incident_line(i))?;
+            engine.ingest(&incident_line(i))?;
         } else {
-            engine.ingest_record(&steady_line(6 * 128 + i))?;
+            engine.ingest(&steady_line(6 * 128 + i))?;
         }
     }
     engine.flush()?;

@@ -30,7 +30,7 @@ fn main() -> Result<(), Error> {
     // cluster count before join anti-correlations resolve.
     let engine = Engine::builder().window(1 << 21).clusters(48).in_memory()?;
     for (sql, count) in &synthetic.statements {
-        engine.ingest_with_count(sql, *count)?;
+        engine.ingest_with(sql, *count, None)?;
     }
     engine.flush()?;
     let snapshot = engine.snapshot()?;

@@ -11,8 +11,7 @@
 //! Three advisors ship:
 //!
 //! * [`IndexAdvisor`] — the §2 lead application: WHERE predicates whose
-//!   estimated workload share clears a threshold (the logic behind
-//!   [`crate::EngineSnapshot::advise`]);
+//!   estimated workload share clears a threshold;
 //! * [`ViewAdvisor`] — materialized-view selection: FROM-pair
 //!   co-occurrence through the mixture, which keeps anti-correlated
 //!   workloads apart where a single naive encoding hallucinates joins (§5);
@@ -138,8 +137,8 @@ fn summary_and_total(view: &dyn WorkloadView) -> Result<Option<(Arc<LogRSummary>
 
 /// Index selection (paper §2's lead application): every WHERE predicate
 /// whose estimated share of the workload is at least `min_share`,
-/// descending by estimated count. This is the one implementation behind
-/// [`crate::Engine::advise`] and [`crate::EngineSnapshot::advise`].
+/// descending by estimated count — the one index advisor; run it over
+/// any [`WorkloadView`], e.g. `IndexAdvisor::new(0.1).advise(&*snapshot)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IndexAdvisor {
     /// Minimum workload share for a predicate to be advised.

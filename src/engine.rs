@@ -22,10 +22,16 @@
 //!   `Result<_, `[`Error`]`>`, with the per-crate errors wrapped via
 //!   `From`.
 //!
-//! Batch is the degenerate stream: ingest everything, [`Engine::flush`],
-//! read [`Engine::summary`]. See the crate root for a quickstart.
+//! One ingest path and one read surface: writes go through
+//! [`Engine::ingest_with`] (record text, multiplicity, optional
+//! timestamp; [`Engine::ingest`] is its multiplicity-1 shorthand) and
+//! [`Engine::flush`]; every read — summaries, drift, estimates, advisors
+//! — goes through the [`EngineSnapshot`] that [`Engine::snapshot`] hands
+//! out. Batch is the degenerate stream: ingest everything,
+//! [`Engine::flush`], read `engine.snapshot()?.summary()`. See the crate
+//! root for a quickstart.
 
-use crate::analytics::{Advisor, IndexAdvisor, WorkloadQuery, WorkloadView};
+use crate::analytics::{WorkloadQuery, WorkloadView};
 use crate::error::Error;
 use crate::manifest::{self, DeltaLog, DeltaRecord, Manifest};
 use logr_cluster::vfs::{self, retry_io, Vfs};
@@ -35,7 +41,7 @@ use logr_core::{
     CompressionObjective, DriftReport, LogR, LogRSummary, SourceConfig, StreamConfig,
     StreamSummarizer, TimeWindows, WindowSummary,
 };
-use logr_feature::{Codebook, Feature, QueryLog};
+use logr_feature::{Codebook, QueryLog};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -294,12 +300,11 @@ impl EngineBuilder {
         // A checksum-valid manifest can still carry a featurizer journal
         // the miner cannot replay (hand-edited store, foreign writer) —
         // recovery rejects it as data, never a panic.
-        let summarizer =
-            StreamSummarizer::try_from_state(m.config, m.state, shards).map_err(|e| {
-                Error::CorruptManifest {
-                    detail: format!("stored featurizer journal failed to replay: {e}"),
-                }
-            })?;
+        let summarizer = StreamSummarizer::from_state(m.config, m.state, shards).map_err(|e| {
+            Error::CorruptManifest {
+                detail: format!("stored featurizer journal failed to replay: {e}"),
+            }
+        })?;
         // Garbage-collect shard files the manifest no longer references
         // (left behind by compactions — see `Engine::compact`). Recovery
         // is the one moment no live snapshot can be holding them: the
@@ -372,22 +377,29 @@ const LOCK_FILE: &str = "engine.lock";
 #[derive(Debug)]
 struct StoreLock {
     /// Normalized registry key (see [`lock_key`]).
-    key: PathBuf,
+    key: (u64, PathBuf),
     /// The lock file, at the directory spelling the engine opened with —
     /// virtual stores (FaultFs) only know that spelling.
     lock_path: PathBuf,
     vfs: Arc<dyn Vfs>,
 }
 
-/// Registry key for a store directory: symlink-resolving canonicalization
-/// when the path exists on the real filesystem, else a lexical
-/// normalization — absolute-ized against the working directory with `.`
-/// and `..` components folded — so two spellings of one directory
+/// Registry key for a store directory: the filesystem namespace
+/// ([`Vfs::fs_id`]) plus the directory. On the real filesystem (id 0)
+/// the path is canonicalized, resolving symlinks, when it exists; a
+/// virtual namespace knows nothing of real symlinks, and a path that
+/// does not exist yet cannot be canonicalized, so both fall back to a
+/// lexical normalization — absolute-ized against the working directory
+/// with `.` and `..` components folded. Two spellings of one directory
 /// (`./store` vs `store`, `/a/../a/store` vs `/a/store`, a symlinked
-/// root) can never both pass the in-process exclusivity check.
-fn lock_key(dir: &Path) -> PathBuf {
-    if let Ok(real) = dir.canonicalize() {
-        return real;
+/// root) can therefore never both pass the in-process exclusivity check,
+/// while the same path in two independent in-memory filesystems never
+/// collides.
+fn lock_key(fs_id: u64, dir: &Path) -> (u64, PathBuf) {
+    if fs_id == 0 {
+        if let Ok(real) = dir.canonicalize() {
+            return (fs_id, real);
+        }
     }
     let joined;
     let dir = if dir.is_absolute() {
@@ -406,11 +418,12 @@ fn lock_key(dir: &Path) -> PathBuf {
             other => out.push(other),
         }
     }
-    out
+    (fs_id, out)
 }
 
-/// Store directories locked by engines in this process.
-static STORE_LOCKS: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
+/// Store directories locked by engines in this process, keyed by
+/// [`lock_key`].
+static STORE_LOCKS: Mutex<Vec<(u64, PathBuf)>> = Mutex::new(Vec::new());
 
 /// Bound on stale-takeover rounds before reporting the store locked —
 /// each round means a racer stole the stale lock first, and a handful of
@@ -419,7 +432,7 @@ const LOCK_TAKEOVER_ROUNDS: usize = 8;
 
 impl StoreLock {
     fn acquire(dir: &Path, vfs: Arc<dyn Vfs>) -> Result<StoreLock, Error> {
-        let key = lock_key(dir);
+        let key = lock_key(vfs.fs_id(), dir);
         {
             let mut held = STORE_LOCKS.lock().map_err(|_| Error::Poisoned)?;
             if held.contains(&key) {
@@ -430,7 +443,7 @@ impl StoreLock {
         // In-process claim is ours; now contest the cross-process file.
         // Until create_exclusive succeeds the file is NOT ours, so error
         // paths must release only the registry entry, never the file.
-        let release_claim = |key: &PathBuf| {
+        let release_claim = |key: &(u64, PathBuf)| {
             if let Ok(mut held) = STORE_LOCKS.lock() {
                 held.retain(|d| d != key);
             }
@@ -510,26 +523,6 @@ fn process_alive(pid: u32) -> bool {
     Path::new("/proc").exists() && Path::new(&format!("/proc/{pid}")).exists()
 }
 
-/// One index-advisor pick: a WHERE predicate and how much of the
-/// workload the summary estimates it covers. The legacy shape of
-/// [`crate::analytics::Advice`] — [`EngineSnapshot::advise`] keeps
-/// returning it, while the full advisor family
-/// ([`crate::analytics::IndexAdvisor`], [`crate::analytics::ViewAdvisor`],
-/// [`crate::analytics::QueryRecommender`]) reports `Advice` directly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexAdvice {
-    /// The predicate's canonical text (e.g. `status = ?`).
-    pub predicate: String,
-    /// Estimated queries containing it (from the mixture, not the log).
-    pub estimated: f64,
-    /// `estimated / summarized_queries` — the advisor's ranking signal.
-    /// The denominator is the absorbed-history total the summary covers
-    /// ([`crate::analytics::WorkloadView::summarized_queries`]), not
-    /// [`EngineSnapshot::total_queries`], which also counts the open
-    /// window's still-unsummarized buffer.
-    pub share: f64,
-}
-
 /// An immutable, internally consistent view of the engine at one window
 /// boundary, shared by `Arc`: history and baseline logs, the sharded
 /// distance structure (cheap `Arc`-per-slot clone; spilled shards reload
@@ -575,13 +568,17 @@ impl EngineSnapshot {
         self.windows_closed
     }
 
-    /// The source (featurizer) configuration the engine runs.
+    /// The source (featurizer) configuration the engine runs — the
+    /// builder's [`EngineBuilder::source`] on fresh stores, the
+    /// manifest's stored source after [`EngineBuilder::resume`].
     pub fn source(&self) -> SourceConfig {
         self.config.source
     }
 
-    /// Total queries seen (absorbed history plus the open window's
-    /// buffered queries).
+    /// Total queries as of the snapshot's window boundary (absorbed
+    /// history plus the queries buffered when it was taken). Snapshots
+    /// publish at closes, so records buffered since then are not counted
+    /// — [`Engine::total_queries`] reads the live count.
     pub fn total_queries(&self) -> u64 {
         self.history.total_queries() + self.buffered
     }
@@ -629,7 +626,7 @@ impl EngineSnapshot {
         if let Some(s) = &*slot {
             return Ok(Some(s.clone()));
         }
-        let dist = self.shards.try_condensed(self.config.metric)?;
+        let dist = self.shards.condensed(self.config.metric)?;
         // The identical compressor StreamSummarizer::history_summary
         // builds — one shared definition, so the documented bit-identity
         // cannot silently drift.
@@ -652,7 +649,7 @@ impl EngineSnapshot {
         if self.history.distinct_count() == 0 {
             return Ok(None);
         }
-        let dist = self.shards.try_condensed(self.config.metric)?;
+        let dist = self.shards.condensed(self.config.metric)?;
         let mut config = self.config.compressor_config();
         config.objective = objective;
         Ok(Some(Arc::new(LogR::new(config).compress_condensed(&self.history, dist))))
@@ -667,7 +664,7 @@ impl EngineSnapshot {
         if self.history.distinct_count() == 0 {
             return Ok(Vec::new());
         }
-        let dist = self.shards.try_condensed(self.config.metric)?;
+        let dist = self.shards.condensed(self.config.metric)?;
         let compressor = LogR::new(self.config.compressor_config());
         Ok(compressor.compress_condensed_multiresolution(&self.history, dist, ks))
     }
@@ -678,38 +675,6 @@ impl EngineSnapshot {
     /// [`WorkloadQuery`]. `None` before the first distinct query.
     pub fn query(&self) -> Result<Option<WorkloadQuery<'_>>, Error> {
         WorkloadQuery::over(self)
-    }
-
-    /// Estimate how many history queries contain all the given features
-    /// (the §6.2 mixture estimator; 0.0 for unknown features or before
-    /// the first close).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `EngineSnapshot::query()` with a typed `analytics::Pred` — unknown \
-                features become typed errors instead of silent zeros"
-    )]
-    pub fn estimate_count_features(&self, features: &[Feature]) -> Result<f64, Error> {
-        match self.summary()? {
-            Some(s) => Ok(s.estimate_count_features(&self.history, features)),
-            None => Ok(0.0),
-        }
-    }
-
-    /// The §2 index-advisor question, answered from the summary: every
-    /// WHERE predicate whose estimated share of the workload is at least
-    /// `min_share`, descending. The raw log is never consulted.
-    ///
-    /// Thin wrapper over [`crate::analytics::IndexAdvisor`] — the one
-    /// implementation this and [`Engine::advise`] share; run the advisor
-    /// directly (or [`crate::analytics::ViewAdvisor`] /
-    /// [`crate::analytics::QueryRecommender`]) for the full family.
-    /// `min_share` outside `[0, 1]` (NaN included) is [`Error::Config`].
-    pub fn advise(&self, min_share: f64) -> Result<Vec<IndexAdvice>, Error> {
-        let picks = IndexAdvisor::new(min_share).advise(self)?;
-        Ok(picks
-            .into_iter()
-            .map(|a| IndexAdvice { predicate: a.subject, estimated: a.estimated, share: a.share })
-            .collect())
     }
 
     /// A self-contained portable artifact of the current summary (ship
@@ -853,8 +818,9 @@ impl Engine {
         Ok(())
     }
 
-    /// Ingest one statement (multiplicity 1). Returns the closed window's
-    /// artifacts when this statement completes a window — at which point
+    /// Ingest one record (multiplicity 1) — shorthand for
+    /// [`Engine::ingest_with`]`(text, 1, None)`. Returns the closed
+    /// window's artifacts when this record completes a window — at which point
     /// a new snapshot is published and, on durable engines, the store is
     /// checkpointed.
     ///
@@ -863,7 +829,7 @@ impl Engine {
     /// An [`Error::Spill`] means the window close itself failed and the
     /// stream is wedged (reopen from the store). Any *other* error from
     /// an ingest entry point arrives **after** the close took effect in
-    /// memory: the statement was ingested and the window closed — do not
+    /// memory: the record was ingested and the window closed — do not
     /// re-ingest it (that would count it twice). Two failure stages
     /// share that shape: a snapshot-publication failure
     /// ([`Error::Poisoned`] — persistence is still attempted before the
@@ -874,56 +840,33 @@ impl Engine {
     /// advance). Either way a later close or [`Engine::checkpoint`]
     /// retries persistence, and recovery meanwhile resumes from the last
     /// durable state.
-    pub fn ingest(&self, sql: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.ingest_with_count(sql, 1)
+    pub fn ingest(&self, text: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
+        self.ingest_with(text, 1, None)
     }
 
-    /// Ingest one statement occurring `count` times.
-    pub fn ingest_with_count(
-        &self,
-        sql: &str,
-        count: u64,
-    ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_with_count(sql, count)?;
-        self.after_ingest(&mut st, closed)
-    }
-
-    /// Ingest one raw record through the engine's configured source
-    /// (multiplicity 1) — [`Engine::ingest`]'s source-agnostic twin. On
-    /// a template-source engine the record is a free-form service-log
-    /// line; on an SQL-source engine the two entry points are
-    /// interchangeable. Error semantics are those of [`Engine::ingest`].
-    pub fn ingest_record(&self, text: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.ingest_record_with_count(text, 1)
-    }
-
-    /// Ingest one raw record occurring `count` times through the
-    /// engine's configured source.
-    pub fn ingest_record_with_count(
+    /// Ingest one record occurring `count` times — the one write path.
+    /// The record is raw text for the engine's configured source (a SQL
+    /// statement, or a free-form service-log line on a template-source
+    /// engine); `ts_ms` is its arrival time for time-based windows, with
+    /// `None` stamping the system clock (see
+    /// [`StreamSummarizer::ingest_with`]). Error semantics are those of
+    /// [`Engine::ingest`].
+    pub fn ingest_with(
         &self,
         text: &str,
         count: u64,
+        ts_ms: Option<u64>,
     ) -> Result<Option<Arc<WindowSummary>>, Error> {
         self.check_writable()?;
         let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_record_with_count(text, count)?;
+        let closed = st.summarizer.ingest_with(text, count, ts_ms)?;
         self.after_ingest(&mut st, closed)
     }
 
-    /// Ingest one statement occurring `count` times at timestamp `ts_ms`
-    /// (for time-based windows; see [`StreamSummarizer::ingest_at_ms`]).
-    pub fn ingest_at_ms(
-        &self,
-        sql: &str,
-        count: u64,
-        ts_ms: u64,
-    ) -> Result<Option<Arc<WindowSummary>>, Error> {
-        self.check_writable()?;
-        let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_ingest_at_ms(sql, count, ts_ms)?;
-        self.after_ingest(&mut st, closed)
+    /// The same call as [`Engine::ingest`], under the name the `perfbench`
+    /// harness uses; new code calls [`Engine::ingest`].
+    pub fn ingest_record(&self, text: &str) -> Result<Option<Arc<WindowSummary>>, Error> {
+        self.ingest(text)
     }
 
     /// Close a partial window (end of batch / forced boundary). `None`
@@ -931,7 +874,7 @@ impl Engine {
     pub fn flush(&self) -> Result<Option<Arc<WindowSummary>>, Error> {
         self.check_writable()?;
         let mut st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        let closed = st.summarizer.try_flush()?;
+        let closed = st.summarizer.flush()?;
         self.after_ingest(&mut st, closed)
     }
 
@@ -1093,40 +1036,13 @@ impl Engine {
         Ok(self.published.read().map_err(|_| Error::Poisoned)?.clone())
     }
 
-    /// Pattern mixture summary of everything seen so far (see
-    /// [`EngineSnapshot::summary`]).
-    pub fn summary(&self) -> Result<Option<Arc<LogRSummary>>, Error> {
-        self.snapshot()?.summary()
-    }
-
-    /// The last closed window's drift report (cloned; `None` before the
-    /// second window).
-    pub fn drift(&self) -> Result<Option<DriftReport>, Error> {
-        Ok(self.snapshot()?.drift().cloned())
-    }
-
-    /// Index advice from the current summary (see
-    /// [`EngineSnapshot::advise`]).
-    pub fn advise(&self, min_share: f64) -> Result<Vec<IndexAdvice>, Error> {
-        self.snapshot()?.advise(min_share)
-    }
-
-    /// Windows closed so far.
-    pub fn windows_closed(&self) -> Result<usize, Error> {
-        Ok(self.snapshot()?.windows_closed())
-    }
-
-    /// The source (featurizer) configuration the engine runs — the
-    /// builder's [`EngineBuilder::source`] on fresh stores, the
-    /// manifest's stored source after [`EngineBuilder::resume`].
-    pub fn source(&self) -> Result<SourceConfig, Error> {
-        let st = self.state.lock().map_err(|_| Error::Poisoned)?;
-        Ok(st.summarizer.config().source)
-    }
-
-    /// Total queries seen (absorbed plus buffered).
+    /// Total queries ingested so far: the absorbed history plus the open
+    /// window's buffered queries, read from the writer's live state (a
+    /// snapshot's count stops at its window boundary — see
+    /// [`EngineSnapshot::total_queries`]).
     pub fn total_queries(&self) -> Result<u64, Error> {
-        Ok(self.snapshot()?.total_queries())
+        let st = self.state.lock().map_err(|_| Error::Poisoned)?;
+        Ok(st.summarizer.history().total_queries() + st.summarizer.buffered_queries())
     }
 
     /// Persist everything **including the half-filled window buffer** to

@@ -46,12 +46,13 @@ pub enum Error {
         /// The store directory inspected.
         dir: PathBuf,
     },
-    /// The store manifest was written by a newer build than this one —
-    /// refusing to guess at a future format.
+    /// The store manifest (or its delta log) carries a format version
+    /// this build does not read — a newer build's format, or a retired
+    /// older one. Refused rather than guessed at.
     ManifestVersion {
         /// Version found in the manifest.
         found: u32,
-        /// Largest version this build reads.
+        /// The version this build reads.
         supported: u32,
     },
     /// The store manifest fails validation (bad magic, checksum mismatch,
@@ -115,7 +116,7 @@ impl fmt::Display for Error {
             }
             Error::ManifestVersion { found, supported } => write!(
                 f,
-                "engine manifest version {found} is newer than this build reads (≤ {supported})"
+                "engine manifest version {found} is not the version this build reads ({supported})"
             ),
             Error::CorruptManifest { detail } => write!(f, "corrupt engine manifest: {detail}"),
             Error::MissingShard { path } => {

@@ -49,6 +49,15 @@
 //! [`Engine::open`]), while readers on other threads answer statistics
 //! from [`Engine::snapshot`] views that one writer keeps advancing.
 //!
+//! The engine has **one ingest path** and **one read surface**. Every
+//! record goes in through [`Engine::ingest_with`] (record text,
+//! multiplicity, optional timestamp — [`Engine::ingest`] is its
+//! multiplicity-1 shorthand), and partial windows close with
+//! [`Engine::flush`]. Every question — the history summary, drift,
+//! estimates ([`EngineSnapshot::query`]) and advice (the
+//! [`analytics::Advisor`] family) — is answered from the
+//! [`EngineSnapshot`] that [`Engine::snapshot`] returns.
+//!
 //! The layers underneath remain public for direct use — `LogIngest` →
 //! `LogR::compress` for one-shot batch compression
 //! ([`core::LogR`]), `StreamSummarizer` for hand-driven streaming
@@ -78,8 +87,8 @@
 //!   dominate, and what drifted" is answered by the same estimators
 //!   that answer "which predicates dominate".
 //!
-//! Select the source at build time and feed raw records through
-//! [`Engine::ingest_record`]:
+//! Select the source at build time and feed raw records through the same
+//! [`Engine::ingest`] call — nothing on the write path assumes SQL:
 //!
 //! ```
 //! use logr::core::SourceConfig;
@@ -90,10 +99,10 @@
 //!     .window(4)
 //!     .clusters(2)
 //!     .in_memory()?;
-//! engine.ingest_record("request 9001 served in 35 ms")?;
-//! engine.ingest_record("request 9002 served in 41 ms")?;
-//! engine.ingest_record("connection from 10.0.0.7 port 6033 established")?;
-//! engine.ingest_record("request 9003 served in 9 ms")?;
+//! engine.ingest("request 9001 served in 35 ms")?;
+//! engine.ingest("request 9002 served in 41 ms")?;
+//! engine.ingest("connection from 10.0.0.7 port 6033 established")?;
+//! engine.ingest("request 9003 served in 9 ms")?;
 //! engine.flush()?;
 //! assert!(engine.snapshot()?.total_queries() >= 4);
 //! # Ok::<(), logr::Error>(())
@@ -104,9 +113,8 @@
 //! whole journal, delta records carry each close's increment, and
 //! recovery replays the journal through the same mining code — so a
 //! resumed engine assigns every future line the exact template and
-//! parameter features the original would have. SQL-source stores are
-//! unaffected: their journal is empty and version-2 manifests still
-//! open.
+//! parameter features the original would have. SQL-source stores
+//! carry an empty journal.
 //!
 //! ## Crate map
 //!
@@ -243,7 +251,7 @@ mod engine;
 mod error;
 pub mod manifest;
 
-pub use engine::{Engine, EngineBuilder, EngineSnapshot, IndexAdvice};
+pub use engine::{Engine, EngineBuilder, EngineSnapshot};
 pub use error::Error;
 // The source selector rides at the root so `.source(...)` call sites
 // need not name the backing crate.

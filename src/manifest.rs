@@ -23,12 +23,12 @@
 //!  end−8  8     checksum: FNV-1a 64 over bytes [8, end−8)
 //! ```
 //!
-//! Body, in order: the stream configuration (version 3 appends the
-//! source configuration — a tag byte, plus the template-miner knobs when
-//! the source is `Template`), the resident budget, the scalar stream
+//! Body, in order: the stream configuration (ending with the source
+//! configuration — a tag byte, plus the template-miner knobs when the
+//! source is `Template`), the resident budget, the scalar stream
 //! state, the window buffer and pending statements (raw record text),
 //! the baseline rotation and materialized baseline, the history log, the
-//! featurizer journal (`u64` length + bytes; version 3 only), and the
+//! featurizer journal (`u64` length + bytes), and the
 //! shard chain (universe width, total points, ordered file names
 //! relative to the store directory). Strings are `u64` length + UTF-8;
 //! optional integers are a presence byte + value; query logs store their
@@ -37,7 +37,7 @@
 //! reproduce interning order, and therefore every downstream bit.
 //!
 //! Readers validate in order — length floor, magic, **version** (a
-//! manifest from a newer build is refused before its bytes are
+//! manifest in any other format version is refused before its bytes are
 //! interpreted), checksum, then structure — so every way the file can be
 //! wrong maps to one typed [`Error`] variant and decoding never panics.
 //!
@@ -74,16 +74,11 @@
 //! body) is a typed [`Error::CorruptManifest`] — that is tampering or a
 //! writer bug, never a crash artifact, and must be loud.
 //!
-//! Version 2 of the manifest is byte-compatible with version 1; the bump
-//! exists so builds that predate the delta log refuse stores that may
-//! carry one (opening the base alone would silently drop acknowledged
-//! closes). Version 3 adds the pluggable-source fields — the source
-//! configuration at the end of the stream configuration and the
-//! featurizer journal after the history log — and readers still accept
-//! version 2 bytes (decoded as the SQL source with an empty journal,
-//! exactly what every version-2 store was). Delta-log version 2
-//! likewise appends the close's journal increment to each record;
-//! version-1 records decode with an empty increment.
+//! Readers accept exactly the versions this build writes — manifest
+//! [`VERSION`] and delta-log [`DELTA_VERSION`]; any other version is
+//! [`Error::ManifestVersion`]. (Manifest version 3 and delta-log version
+//! 2 added the pluggable-source fields: the source configuration, the
+//! featurizer journal, and each close's journal increment.)
 
 use crate::error::Error;
 use logr_cluster::spill::fnv1a64;
@@ -102,13 +97,7 @@ pub const FILE_NAME: &str = "engine.manifest";
 /// First 8 bytes of every manifest.
 pub const MAGIC: [u8; 8] = *b"LOGRMNFT";
 
-/// Format version this build writes and the newest one it reads.
-/// Version 2 bodies are byte-identical to version 1; the bump gates
-/// stores that may carry an `engine.delta` log away from older builds
-/// that would silently ignore it. Version 3 adds the source
-/// configuration and the featurizer journal; version-2 bytes still
-/// decode (as the SQL source with an empty journal — see the module
-/// docs).
+/// Format version this build writes and the only one it reads.
 pub const VERSION: u32 = 3;
 
 /// Everything needed to reopen an engine (see the module docs).
@@ -187,7 +176,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     let mut version_le = [0u8; 4];
     version_le.copy_from_slice(&bytes[8..12]);
     let version = u32::from_le_bytes(version_le);
-    if version > VERSION {
+    if version != VERSION {
         return Err(Error::ManifestVersion { found: version, supported: VERSION });
     }
     let mut stored_le = [0u8; 8];
@@ -201,7 +190,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     }
 
     let mut r = Reader { bytes: &bytes[12..bytes.len() - 8] };
-    let config = get_config(&mut r, version)?;
+    let config = get_config(&mut r)?;
     let resident_budget = get_usize(&mut r, "resident budget")?;
 
     let windows_closed = get_usize(&mut r, "windows closed")?;
@@ -234,10 +223,7 @@ pub fn decode(bytes: &[u8]) -> Result<Manifest, Error> {
     }
     let baseline = get_log(&mut r)?;
     let history = get_log(&mut r)?;
-    // Version 2 predates pluggable sources: the featurizer was the SQL
-    // path, whose journal is always empty.
-    let source_state =
-        if version >= 3 { get_bytes(&mut r, "featurizer journal")? } else { Vec::new() };
+    let source_state = get_bytes(&mut r, "featurizer journal")?;
 
     let n_features = get_usize(&mut r, "shard universe width")?;
     let total_points = get_usize(&mut r, "shard point total")?;
@@ -352,10 +338,7 @@ pub const DELTA_FILE_NAME: &str = "engine.delta";
 /// First 8 bytes of every delta log.
 pub const DELTA_MAGIC: [u8; 8] = *b"LOGRDLTA";
 
-/// Delta-log format version this build writes and the newest one it
-/// reads. Version 2 appends the close's featurizer-journal increment to
-/// each record; version-1 records decode with an empty increment (the
-/// SQL source, the only one version 1 could carry, journals nothing).
+/// Delta-log format version this build writes and the only one it reads.
 pub const DELTA_VERSION: u32 = 2;
 
 /// Bytes in a delta-log header: magic + version + base checksum + base
@@ -552,7 +535,7 @@ pub fn replay_delta(
     let mut version_le = [0u8; 4];
     version_le.copy_from_slice(&delta_bytes[8..12]);
     let version = u32::from_le_bytes(version_le);
-    if version > DELTA_VERSION {
+    if version != DELTA_VERSION {
         return Err(Error::ManifestVersion { found: version, supported: DELTA_VERSION });
     }
     let mut stored_le = [0u8; 8];
@@ -591,7 +574,7 @@ pub fn replay_delta(
         if u64::from_le_bytes(frame_sum_le) != fnv1a64(payload) {
             break; // torn or unsynced tail — never acknowledged
         }
-        let rec = decode_record(payload, version)?;
+        let rec = decode_record(payload)?;
         if rec.seq != applied + 1 {
             return Err(corrupt(format!(
                 "delta record out of sequence: found {}, expected {}",
@@ -667,7 +650,7 @@ fn encode_record_payload(rec: &DeltaRecord, seq: u64) -> Vec<u8> {
     out
 }
 
-fn decode_record(payload: &[u8], version: u32) -> Result<DeltaRecord, Error> {
+fn decode_record(payload: &[u8]) -> Result<DeltaRecord, Error> {
     let mut r = Reader { bytes: payload };
     let seq = r.u64("delta sequence number")?;
     let windows_closed = get_usize(&mut r, "delta windows closed")?;
@@ -704,9 +687,7 @@ fn decode_record(payload: &[u8], version: u32) -> Result<DeltaRecord, Error> {
     }
     let n_features = get_usize(&mut r, "delta shard universe width")?;
     let total_points = get_usize(&mut r, "delta shard point total")?;
-    // Version 1 predates pluggable sources: SQL journals nothing.
-    let source_events =
-        if version >= 2 { get_bytes(&mut r, "delta journal increment")? } else { Vec::new() };
+    let source_events = get_bytes(&mut r, "delta journal increment")?;
     if !r.bytes.is_empty() {
         return Err(corrupt("trailing bytes after the delta record"));
     }
@@ -892,7 +873,7 @@ fn get_opt_u64(r: &mut Reader<'_>, what: &str) -> Result<Option<u64>, Error> {
     }
 }
 
-fn get_config(r: &mut Reader<'_>, version: u32) -> Result<StreamConfig, Error> {
+fn get_config(r: &mut Reader<'_>) -> Result<StreamConfig, Error> {
     let window = r.u64("window size")?;
     let slide = get_opt_u64(r, "slide")?;
     let time = match r.u8("time-window presence")? {
@@ -919,20 +900,15 @@ fn get_config(r: &mut Reader<'_>, version: u32) -> Result<StreamConfig, Error> {
     };
     let drift_tolerance = r.f64("drift tolerance")?;
     let seed = r.u64("seed")?;
-    // Version 2 predates pluggable sources: every store was SQL-fed.
-    let source = if version >= 3 {
-        match r.u8("source tag")? {
-            0 => SourceConfig::Sql,
-            1 => {
-                let depth = get_usize(r, "template depth")?;
-                let max_children = get_usize(r, "template fan-out bound")?;
-                let similarity = r.f64("template similarity threshold")?;
-                SourceConfig::Template(TemplateConfig { depth, max_children, similarity })
-            }
-            tag => return Err(corrupt(format!("unknown source tag {tag}"))),
+    let source = match r.u8("source tag")? {
+        0 => SourceConfig::Sql,
+        1 => {
+            let depth = get_usize(r, "template depth")?;
+            let max_children = get_usize(r, "template fan-out bound")?;
+            let similarity = r.f64("template similarity threshold")?;
+            SourceConfig::Template(TemplateConfig { depth, max_children, similarity })
         }
-    } else {
-        SourceConfig::Sql
+        tag => return Err(corrupt(format!("unknown source tag {tag}"))),
     };
     Ok(StreamConfig {
         window,
@@ -1084,15 +1060,19 @@ mod tests {
 
     #[test]
     fn version_gate_refuses_newer_manifests() {
-        let mut bytes = encode(&sample_manifest());
-        bytes[8..12].copy_from_slice(&(VERSION + 1).to_le_bytes());
-        // Version is checked before the checksum: no need to re-hash.
-        match decode(&bytes).unwrap_err() {
-            Error::ManifestVersion { found, supported } => {
-                assert_eq!(found, VERSION + 1);
-                assert_eq!(supported, VERSION);
+        // Newer builds' manifests, and the retired pre-source versions 1
+        // and 2, are refused alike: only `VERSION` decodes.
+        for version in [VERSION + 1, 1, 2] {
+            let mut bytes = encode(&sample_manifest());
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            // Version is checked before the checksum: no need to re-hash.
+            match decode(&bytes).unwrap_err() {
+                Error::ManifestVersion { found, supported } => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, VERSION);
+                }
+                other => panic!("wrong error: {other}"),
             }
-            other => panic!("wrong error: {other}"),
         }
     }
 
@@ -1184,86 +1164,6 @@ mod tests {
         let mut m = sample_manifest();
         m.shard_files = vec!["../../etc/passwd".into()];
         assert!(matches!(decode(&encode(&m)), Err(Error::CorruptManifest { .. })));
-    }
-
-    /// The frozen version-2 body layout — pre-source stores carry no
-    /// source tag in the config and no featurizer journal. Pinned here
-    /// so `decode`'s back-compat path is exercised against real v2
-    /// bytes, not bytes derived from the current writer.
-    fn encode_v2(m: &Manifest) -> Vec<u8> {
-        assert!(matches!(m.config.source, SourceConfig::Sql));
-        assert!(m.state.source_state.is_empty());
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&2u32.to_le_bytes());
-        let c = &m.config;
-        put_u64(&mut out, c.window);
-        put_opt_u64(&mut out, c.slide);
-        match c.time {
-            None => out.push(0),
-            Some(tw) => {
-                out.push(1);
-                put_u64(&mut out, tw.window_ms);
-                put_opt_u64(&mut out, tw.slide_ms);
-            }
-        }
-        put_u64(&mut out, c.baseline_windows as u64);
-        put_u64(&mut out, c.k as u64);
-        let (tag, p) = match c.metric {
-            Distance::Euclidean => (0u8, 0.0),
-            Distance::Manhattan => (1, 0.0),
-            Distance::Minkowski(p) => (2, p),
-            Distance::Hamming => (3, 0.0),
-            Distance::Chebyshev => (4, 0.0),
-            Distance::Canberra => (5, 0.0),
-        };
-        out.push(tag);
-        put_f64(&mut out, p);
-        put_f64(&mut out, c.drift_tolerance);
-        put_u64(&mut out, c.seed);
-        put_u64(&mut out, m.resident_budget as u64);
-        put_u64(&mut out, m.state.windows_closed as u64);
-        put_u64(&mut out, m.state.since_close);
-        put_u64(&mut out, m.state.last_ts_ms);
-        put_opt_u64(&mut out, m.state.next_close_ms);
-        put_u64(&mut out, m.state.statements_parsed);
-        put_u64(&mut out, m.state.buffer.len() as u64);
-        for (sql, count, ts) in &m.state.buffer {
-            put_str(&mut out, sql);
-            put_u64(&mut out, *count);
-            put_u64(&mut out, *ts);
-        }
-        put_u64(&mut out, m.state.pending.len() as u64);
-        for (sql, count) in &m.state.pending {
-            put_str(&mut out, sql);
-            put_u64(&mut out, *count);
-        }
-        put_u64(&mut out, m.state.baseline_logs.len() as u64);
-        for (log, offered) in &m.state.baseline_logs {
-            put_log(&mut out, log);
-            put_u64(&mut out, *offered);
-        }
-        put_log(&mut out, &m.state.baseline);
-        put_log(&mut out, &m.state.history);
-        put_u64(&mut out, m.n_features as u64);
-        put_u64(&mut out, m.total_points as u64);
-        put_u64(&mut out, m.shard_files.len() as u64);
-        for name in &m.shard_files {
-            put_str(&mut out, name);
-        }
-        let checksum = fnv1a64(&out[8..]);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    #[test]
-    fn version_2_stores_decode_as_the_sql_source() {
-        let m = sample_manifest();
-        let decoded = decode(&encode_v2(&m)).unwrap();
-        assert!(matches!(decoded.config.source, SourceConfig::Sql));
-        assert!(decoded.state.source_state.is_empty());
-        // Upgrading rewrites the same state in the version-3 layout.
-        assert_eq!(encode(&decoded), encode(&m));
     }
 
     #[test]
@@ -1478,19 +1378,23 @@ mod tests {
 
     #[test]
     fn delta_version_gate_refuses_newer_logs() {
-        let (fs, dir, _, _) = delta_store(1);
-        let delta_path = dir.join(DELTA_FILE_NAME);
-        let mut bytes = fs.files()[&delta_path].clone();
-        bytes[8..12].copy_from_slice(&(DELTA_VERSION + 1).to_le_bytes());
-        let header_sum = fnv1a64(&bytes[8..28]);
-        bytes[28..36].copy_from_slice(&header_sum.to_le_bytes());
-        fs.write(&delta_path, &bytes).unwrap();
-        match read_store_with(&*fs, &dir).unwrap_err() {
-            Error::ManifestVersion { found, supported } => {
-                assert_eq!(found, DELTA_VERSION + 1);
-                assert_eq!(supported, DELTA_VERSION);
+        // The retired pre-source delta version 1 is refused like a newer
+        // build's log: only `DELTA_VERSION` replays.
+        for version in [DELTA_VERSION + 1, 1] {
+            let (fs, dir, _, _) = delta_store(1);
+            let delta_path = dir.join(DELTA_FILE_NAME);
+            let mut bytes = fs.files()[&delta_path].clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let header_sum = fnv1a64(&bytes[8..28]);
+            bytes[28..36].copy_from_slice(&header_sum.to_le_bytes());
+            fs.write(&delta_path, &bytes).unwrap();
+            match read_store_with(&*fs, &dir).unwrap_err() {
+                Error::ManifestVersion { found, supported } => {
+                    assert_eq!(found, version);
+                    assert_eq!(supported, DELTA_VERSION);
+                }
+                other => panic!("wrong error: {other}"),
             }
-            other => panic!("wrong error: {other}"),
         }
     }
 
@@ -1513,19 +1417,5 @@ mod tests {
             }
             other => panic!("wrong error: {other}"),
         }
-    }
-
-    #[test]
-    fn version_1_delta_records_decode_with_an_empty_increment() {
-        let rec = sample_record(0);
-        let mut payload = encode_record_payload(&rec, 1);
-        // Version 1 ends at the shard point total: strip the appended
-        // journal increment (length prefix + bytes) to recover the
-        // frozen v1 payload bytes.
-        payload.truncate(payload.len() - 8 - rec.source_events.len());
-        let decoded = decode_record(&payload, 1).unwrap();
-        assert!(decoded.source_events.is_empty());
-        assert_eq!(decoded.windows_closed, rec.windows_closed);
-        assert_eq!(decoded.new_shard_files, rec.new_shard_files);
     }
 }

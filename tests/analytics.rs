@@ -9,8 +9,7 @@
 //!   `examples/view_advisor.rs`, and the conditional-marginal ranking
 //!   from `examples/query_recommendation.rs`.
 //! * `min_share` (and every advisor probability threshold) is validated:
-//!   NaN or out-of-`[0,1]` is a typed `Error::Config`, on the engine and
-//!   snapshot paths alike — which are one implementation.
+//!   NaN or out-of-`[0,1]` is a typed `Error::Config`.
 
 use logr::analytics::{
     AdviceKind, Advisor, DriftAdvisor, IndexAdvisor, Pred, QueryRecommender, SummaryView,
@@ -51,38 +50,35 @@ proptest! {
     ) {
         let engine = Engine::builder().window(window).clusters(3).in_memory().unwrap();
         for (s, c) in seeds.iter().zip(counts.iter().cycle()) {
-            engine.ingest_with_count(&statement(*s), *c).unwrap();
+            engine.ingest_with(&statement(*s), *c, None).unwrap();
         }
         engine.flush().unwrap();
         let snap = engine.snapshot().unwrap();
         let Some(query) = snap.query().unwrap() else {
             // Nothing parsed — both surfaces must agree on "nothing".
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(&[Feature::select("c1")]).unwrap();
-            prop_assert_eq!(legacy, 0.0);
+            prop_assert!(snap.summary().unwrap().is_none());
             return Ok(());
         };
+        let summary = snap.summary().unwrap().expect("a query surface implies a summary");
+        let history = snap.history();
 
         let features: Vec<Feature> =
             snap.history().codebook().iter().map(|(_, f)| f.clone()).collect();
         for f in &features {
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(std::slice::from_ref(f)).unwrap();
+            let legacy = summary.estimate_count_features(history, std::slice::from_ref(f));
             let typed = query.frequency(&Pred::feature(f.clone())).unwrap();
             prop_assert_eq!(typed.to_bits(), legacy.to_bits(), "feature {}", f);
         }
         // Conjunctions resolve to the identical sorted pattern vector.
         for pair in features.windows(2) {
-            #[allow(deprecated)]
-            let legacy = snap.estimate_count_features(pair).unwrap();
+            let legacy = summary.estimate_count_features(history, pair);
             let typed = query.frequency(&Pred::all_of(pair.iter().cloned())).unwrap();
             prop_assert_eq!(typed.to_bits(), legacy.to_bits());
         }
         // An unknown feature is a typed error on the new surface and a
         // silent zero on the legacy one.
         let unknown = Feature::from_table("no_such_table_anywhere");
-        #[allow(deprecated)]
-        let legacy = snap.estimate_count_features(std::slice::from_ref(&unknown)).unwrap();
+        let legacy = summary.estimate_count_features(history, std::slice::from_ref(&unknown));
         prop_assert_eq!(legacy, 0.0);
         prop_assert!(matches!(
             query.frequency(&Pred::feature(unknown)),
@@ -130,17 +126,6 @@ fn index_advisor_reproduces_the_legacy_advise_loop() {
         assert_eq!(a.estimated.to_bits(), est.to_bits());
         assert_eq!(a.share.to_bits(), share.to_bits());
         assert_eq!(a.features, vec![Feature::where_atom(text.clone())]);
-    }
-
-    // Engine and snapshot paths are the same implementation.
-    let via_engine = engine.advise(0.01).unwrap();
-    let via_snapshot = snap.advise(0.01).unwrap();
-    assert_eq!(via_engine, via_snapshot);
-    assert_eq!(via_engine.len(), advice.len());
-    for (legacy, a) in via_engine.iter().zip(&advice) {
-        assert_eq!(legacy.predicate, a.subject);
-        assert_eq!(legacy.estimated.to_bits(), a.estimated.to_bits());
-        assert_eq!(legacy.share.to_bits(), a.share.to_bits());
     }
 }
 
@@ -243,14 +228,6 @@ fn advisor_thresholds_are_validated_as_probabilities() {
     let engine = demo_engine();
     let snap = engine.snapshot().unwrap();
     for bad in [f64::NAN, -0.1, 1.5, f64::INFINITY, f64::NEG_INFINITY] {
-        assert!(
-            matches!(engine.advise(bad), Err(Error::Config { .. })),
-            "Engine::advise accepted {bad}"
-        );
-        assert!(
-            matches!(snap.advise(bad), Err(Error::Config { .. })),
-            "EngineSnapshot::advise accepted {bad}"
-        );
         assert!(matches!(IndexAdvisor::new(bad).advise(&*snap), Err(Error::Config { .. })));
         assert!(matches!(ViewAdvisor::new(bad).advise(&*snap), Err(Error::Config { .. })));
         assert!(matches!(
@@ -259,8 +236,8 @@ fn advisor_thresholds_are_validated_as_probabilities() {
         ));
     }
     // The boundary values are legal.
-    assert!(engine.advise(0.0).is_ok());
-    assert!(engine.advise(1.0).is_ok());
+    assert!(IndexAdvisor::new(0.0).advise(&*snap).is_ok());
+    assert!(IndexAdvisor::new(1.0).advise(&*snap).is_ok());
 }
 
 #[test]
@@ -273,7 +250,6 @@ fn advisors_are_empty_not_erroring_before_any_close() {
     assert!(IndexAdvisor::new(0.0).advise(&*snap).unwrap().is_empty());
     assert!(ViewAdvisor::new(0.0).advise(&*snap).unwrap().is_empty());
     assert!(QueryRecommender::new("SELECT a FROM t", 0.0).advise(&*snap).unwrap().is_empty());
-    assert!(snap.advise(0.0).unwrap().is_empty());
     assert!(snap.multiresolution(&[1, 2]).unwrap().is_empty());
     assert!(snap.summary_with(CompressionObjective::FixedK(2)).unwrap().is_none());
 }
@@ -420,7 +396,7 @@ fn all_four_advisors_render_dba_facing_text() {
 #[test]
 fn drift_advisor_mirrors_engine_drift() {
     // PR 9 satellite: drift alarms flow through the Advisor trait with
-    // the exact numbers [`Engine::drift`] reports — same overall
+    // the exact numbers the snapshot's drift report carries — same overall
     // divergence, one alarm per new feature, one alarm per baseline
     // feature whose per-feature divergence exceeds the tolerance.
     let engine = Engine::builder().window(32).clusters(2).in_memory().unwrap();
@@ -430,10 +406,10 @@ fn drift_advisor_mirrors_engine_drift() {
     for _ in 0..32 {
         engine.ingest("SELECT total FROM invoices WHERE region = ?").unwrap();
     }
-    let report = engine.drift().unwrap().expect("second window reports drift");
+    let snap = engine.snapshot().unwrap();
+    let report = snap.drift().expect("second window reports drift");
     assert!(!report.new_features.is_empty(), "workload swap must surface new features");
 
-    let snap = engine.snapshot().unwrap();
     let advice = DriftAdvisor::new(0.0).advise(&*snap).unwrap();
 
     // Leading aggregate alarm carries the report's overall divergence.

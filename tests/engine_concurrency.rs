@@ -5,6 +5,7 @@
 //! with `LOGR_THREADS=4` so the clustering fan-out, the spill store, and
 //! the snapshot handoff race each other on every run.
 
+use logr::analytics::{Advisor, IndexAdvisor};
 use logr::feature::FeatureClass;
 use logr::{Engine, EngineSnapshot};
 use logr_cluster::testutil::TempStore;
@@ -64,7 +65,7 @@ fn check_snapshot(snap: &EngineSnapshot, last_seen_windows: usize) -> usize {
             assert!(est <= total * 1.5 + 1.0, "estimate {est} vs total {total}");
         }
         // Advice is internally consistent with the same summary.
-        for pick in snap.advise(0.05).expect("advise") {
+        for pick in IndexAdvisor::new(0.05).advise(snap).expect("advise") {
             assert!(pick.share >= 0.05);
             assert!((pick.share - pick.estimated / total).abs() < 1e-12);
         }
@@ -108,17 +109,17 @@ fn stress(engine: Engine) {
         writer.join().expect("writer panicked");
         done.store(true, Ordering::Relaxed);
     });
-    assert_eq!(engine.windows_closed().unwrap(), (STREAM_LEN / WINDOW) as usize);
+    assert_eq!(engine.snapshot().unwrap().windows_closed(), (STREAM_LEN / WINDOW) as usize);
     assert!(reads.load(Ordering::Relaxed) > 0, "readers never observed a snapshot");
     // A final snapshot answers the advisor question coherently.
     let snap = engine.snapshot().unwrap();
-    let advice = snap.advise(0.0).unwrap();
+    let advice = IndexAdvisor::new(0.0).advise(&*snap).unwrap();
     assert!(!advice.is_empty());
     assert!(advice.iter().all(|a| snap
         .history()
         .codebook()
         .iter()
-        .any(|(_, f)| f.class == FeatureClass::Where && f.text == a.predicate)));
+        .any(|(_, f)| f.class == FeatureClass::Where && f.text == a.subject)));
     // And a concrete estimate matches ground truth on a hot table.
     let query = snap.query().unwrap().expect("non-empty history");
     let est = query.frequency(&logr::analytics::Pred::table("accounts")).unwrap();

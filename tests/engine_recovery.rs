@@ -65,7 +65,7 @@ fn assert_windows_identical(a: &WindowSummary, b: &WindowSummary) {
 fn drive(engine: &Engine, stream: &[(String, u64)], from: usize) -> Vec<Arc<WindowSummary>> {
     stream[from..]
         .iter()
-        .filter_map(|(sql, count)| engine.ingest_with_count(sql, *count).expect("ingest"))
+        .filter_map(|(sql, count)| engine.ingest_with(sql, *count, None).expect("ingest"))
         .collect()
 }
 
@@ -117,7 +117,7 @@ proptest! {
         drop(first);
         let second = build().open(dir_b.path()).expect("reopen");
         prop_assert_eq!(
-            second.windows_closed().unwrap(),
+            second.snapshot().unwrap().windows_closed(),
             restarted_windows.len(),
             "recovered window count"
         );
@@ -153,10 +153,14 @@ fn reopen_without_checkpoint_recovers_the_last_window_close() {
     for i in 0..27 {
         engine.ingest(&statement(i)).unwrap();
     }
-    assert_eq!(engine.windows_closed().unwrap(), 2);
+    assert_eq!(engine.snapshot().unwrap().windows_closed(), 2);
+    // The engine's count is live (7 records buffered in the open
+    // window); the snapshot's stops at the close it was published at.
+    assert_eq!(engine.total_queries().unwrap(), 27);
+    assert_eq!(engine.snapshot().unwrap().total_queries(), 20);
     drop(engine);
     let reopened = Engine::open(store.path()).unwrap();
-    assert_eq!(reopened.windows_closed().unwrap(), 2);
+    assert_eq!(reopened.snapshot().unwrap().windows_closed(), 2);
     assert_eq!(reopened.total_queries().unwrap(), 20, "buffered tail was not checkpointed");
 }
 
@@ -170,7 +174,7 @@ fn compacted_store_reopens_bit_identically() {
     for i in 0..80 {
         engine.ingest(&statement(i)).unwrap();
     }
-    let before = engine.summary().unwrap().expect("summary");
+    let before = engine.snapshot().unwrap().summary().unwrap().expect("summary");
     // A reader snapshot taken *before* the compaction: it references the
     // pre-compact shard files and must keep answering after them.
     let pre_compact_snapshot = engine.snapshot().unwrap();
@@ -183,7 +187,7 @@ fn compacted_store_reopens_bit_identically() {
     assert_eq!(files_after_compact, files_before + 1, "compact must only add the merged file");
     let via_old_snapshot = pre_compact_snapshot.summary().unwrap().expect("summary");
     assert_eq!(before.clustering, via_old_snapshot.clustering);
-    let after = engine.summary().unwrap().expect("summary");
+    let after = engine.snapshot().unwrap().summary().unwrap().expect("summary");
     assert_eq!(before.clustering, after.clustering);
     assert_eq!(before.error().to_bits(), after.error().to_bits());
     // Reopening garbage-collects the unreferenced files (no snapshot can
@@ -196,7 +200,7 @@ fn compacted_store_reopens_bit_identically() {
         files_after_reopen < files_before,
         "{files_before} files -> {files_after_reopen} (manifest + merged shard expected)"
     );
-    let recovered = reopened.summary().unwrap().expect("summary");
+    let recovered = reopened.snapshot().unwrap().summary().unwrap().expect("summary");
     assert_eq!(before.clustering, recovered.clustering);
     assert_eq!(before.error().to_bits(), recovered.error().to_bits());
     // Idempotent.
@@ -288,7 +292,7 @@ fn live_store_cannot_be_opened_twice() {
     // Dropping the engine releases the lock; the store reopens cleanly.
     drop(engine);
     let reopened = Engine::open(store.path()).unwrap();
-    assert_eq!(reopened.windows_closed().unwrap(), 3);
+    assert_eq!(reopened.snapshot().unwrap().windows_closed(), 3);
 }
 
 #[test]

@@ -54,7 +54,7 @@ fn transient_eintr_is_retried_transparently() {
         engine.ingest(&statement(i)).expect("ingest rides out EINTR");
     }
     engine.checkpoint().expect("checkpoint rides out EINTR");
-    assert_eq!(engine.windows_closed().unwrap(), 2);
+    assert_eq!(engine.snapshot().unwrap().windows_closed(), 2);
 }
 
 #[test]
@@ -117,7 +117,7 @@ fn failed_persist_leaves_the_store_openable_at_the_previous_checkpoint() {
     for i in 8..12 {
         engine.ingest(&statement(i)).expect("ingest");
     }
-    let durable_windows = engine.windows_closed().unwrap();
+    let durable_windows = engine.snapshot().unwrap().windows_closed();
     let durable_queries = engine.total_queries().unwrap();
     // More work lands in the buffer, then the disk starts failing: the
     // checkpoint attempt errors out...
@@ -132,7 +132,7 @@ fn failed_persist_leaves_the_store_openable_at_the_previous_checkpoint() {
     // the atomic write protocol never touched the previous manifest.
     let recovered =
         EngineBuilder::new().vfs(fs.clone()).resume(&dir).expect("store survived the failed close");
-    assert_eq!(recovered.windows_closed().unwrap(), durable_windows);
+    assert_eq!(recovered.snapshot().unwrap().windows_closed(), durable_windows);
     assert_eq!(recovered.total_queries().unwrap(), durable_queries);
 }
 
@@ -153,9 +153,15 @@ fn read_only_engine_serves_reads_beside_a_live_writer() {
         .expect("read-only open beside the live writer");
     assert!(reader.is_read_only());
     assert!(!writer.is_read_only());
-    assert_eq!(reader.windows_closed().unwrap(), writer.windows_closed().unwrap());
+    assert_eq!(
+        reader.snapshot().unwrap().windows_closed(),
+        writer.snapshot().unwrap().windows_closed()
+    );
     assert_eq!(reader.total_queries().unwrap(), writer.total_queries().unwrap());
-    let (r, w) = (reader.summary().unwrap(), writer.summary().unwrap());
+    let (r, w) = (
+        reader.snapshot().unwrap().summary().unwrap(),
+        writer.snapshot().unwrap().summary().unwrap(),
+    );
     match (r, w) {
         (Some(r), Some(w)) => {
             assert_eq!(r.clustering, w.clustering);
@@ -176,8 +182,8 @@ fn read_only_engine_rejects_every_write_entry_point() {
     drop(writer);
     let reader = EngineBuilder::new().read_only().vfs(fs).resume(&dir).expect("read-only open");
     assert!(matches!(reader.ingest("SELECT 1"), Err(Error::ReadOnly)));
-    assert!(matches!(reader.ingest_with_count("SELECT 1", 3), Err(Error::ReadOnly)));
-    assert!(matches!(reader.ingest_at_ms("SELECT 1", 1, 99), Err(Error::ReadOnly)));
+    assert!(matches!(reader.ingest_with("SELECT 1", 3, None), Err(Error::ReadOnly)));
+    assert!(matches!(reader.ingest_with("SELECT 1", 1, Some(99)), Err(Error::ReadOnly)));
     assert!(matches!(reader.flush(), Err(Error::ReadOnly)));
     assert!(matches!(reader.checkpoint(), Err(Error::ReadOnly)));
     assert!(matches!(reader.compact(), Err(Error::ReadOnly)));
@@ -200,7 +206,7 @@ fn read_only_open_takes_no_lock_and_garbage_collects_nothing() {
     fs.write(&orphan_tmp, b"junk").unwrap();
     let reader =
         EngineBuilder::new().read_only().vfs(fs.clone()).resume(&dir).expect("read-only open");
-    assert!(reader.summary().unwrap().is_some());
+    assert!(reader.snapshot().unwrap().summary().unwrap().is_some());
     assert!(!fs.exists(&dir.join("engine.lock")), "read-only open must not create a lock");
     assert!(fs.exists(&orphan_bin), "read-only open must not garbage-collect");
     assert!(fs.exists(&orphan_tmp), "read-only open must not garbage-collect");
@@ -311,4 +317,39 @@ fn aliased_store_path_spellings_share_one_lock() {
         .vfs(fs)
         .open("/vstore-canon/../vstore-canon")
         .expect("open succeeds under an alias once the owner is gone");
+}
+
+#[test]
+fn one_virtual_path_on_two_fault_filesystems_opens_on_both() {
+    // Two independent in-memory filesystems that both serve
+    // `/vstore-twin` hold two different stores. The in-process lock
+    // registry keys on (filesystem, path), so opening both at once —
+    // racing on two threads — must succeed, while a second open inside
+    // one filesystem stays refused.
+    let dir = PathBuf::from("/vstore-twin");
+    let barrier = std::sync::Barrier::new(2);
+    let opened: Vec<(Arc<FaultFs>, Engine)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    spilling_engine(&dir)
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("opener panicked")).collect()
+    });
+    assert_ne!(opened[0].0.fs_id(), opened[1].0.fs_id());
+    for (_, engine) in &opened {
+        for i in 0..8 {
+            engine.ingest(&statement(i)).expect("ingest");
+        }
+        assert_eq!(engine.snapshot().expect("snapshot").windows_closed(), 2);
+    }
+    for (fs, _) in &opened {
+        match Engine::builder().vfs(fs.clone()).open(&dir) {
+            Err(Error::StoreLocked { pid, .. }) => assert_eq!(pid, std::process::id()),
+            other => panic!("a second open in one namespace must refuse: {:?}", other.map(|_| ())),
+        }
+    }
 }

@@ -76,9 +76,9 @@ fn service_line(i: u64) -> String {
 enum Step {
     /// `ingest(statement(i))`.
     Sql(u64),
-    /// `ingest_record(service_line(i))` for template-source scenarios.
+    /// `ingest(service_line(i))` for template-source scenarios.
     Record(u64),
-    /// `ingest_at_ms(statement(i), 1, ts)` for time-window scenarios.
+    /// `ingest_with(statement(i), 1, Some(ts))` for time-window scenarios.
     At(u64, u64),
     Flush,
     Checkpoint,
@@ -124,7 +124,7 @@ fn run_scripted(
         // delta log the base bytes stay put across window closes while
         // the recoverable state advances through appended records.
         let meta = CheckpointMeta {
-            windows_closed: engine.windows_closed().expect("windows_closed"),
+            windows_closed: engine.snapshot().expect("snapshot").windows_closed(),
             total_queries: engine.total_queries().expect("total_queries"),
         };
         if let Some(bytes) = fs.files().get(&manifest_path) {
@@ -139,10 +139,10 @@ fn run_scripted(
                 engine.ingest(&statement(i)).expect("ingest");
             }
             Step::Record(i) => {
-                engine.ingest_record(&service_line(i)).expect("ingest_record");
+                engine.ingest(&service_line(i)).expect("ingest");
             }
             Step::At(i, ts) => {
-                engine.ingest_at_ms(&statement(i), 1, ts).expect("ingest_at_ms");
+                engine.ingest_with(&statement(i), 1, Some(ts)).expect("ingest_with");
             }
             Step::Flush => {
                 engine.flush().expect("flush");
@@ -154,8 +154,12 @@ fn run_scripted(
         }
         record(&engine);
     }
-    let final_summary =
-        engine.summary().expect("summary").map(|s| (s.clustering.clone(), s.error().to_bits()));
+    let final_summary = engine
+        .snapshot()
+        .expect("summary")
+        .summary()
+        .expect("summary")
+        .map(|s| (s.clustering.clone(), s.error().to_bits()));
     drop(engine);
     Recorded { trace: fs.trace(), bases, states, final_summary }
 }
@@ -193,7 +197,7 @@ fn check_crash_point(dir: &Path, rec: &Recorded, k: usize, variant: LastOpVarian
         panic!("prefix {k} {variant:?}: durable checkpoint failed to recover: {e}")
     });
     let meta = CheckpointMeta {
-        windows_closed: engine.windows_closed().expect("windows_closed"),
+        windows_closed: engine.snapshot().expect("snapshot").windows_closed(),
         total_queries: engine.total_queries().expect("total_queries"),
     };
     assert!(
@@ -249,8 +253,12 @@ fn replay_everywhere(dir: &Path, rec: &Recorded) {
     let (files, dirs) = durable_state(&rec.trace, LastOpVariant::Lost);
     let fs = Arc::new(FaultFs::from_files(files, dirs));
     let engine = EngineBuilder::new().vfs(fs).resume(dir).expect("clean-shutdown resume");
-    let recovered =
-        engine.summary().expect("summary").map(|s| (s.clustering.clone(), s.error().to_bits()));
+    let recovered = engine
+        .snapshot()
+        .expect("summary")
+        .summary()
+        .expect("summary")
+        .map(|s| (s.clustering.clone(), s.error().to_bits()));
     assert_eq!(recovered, rec.final_summary, "final history summary diverged after recovery");
 }
 
@@ -336,7 +344,7 @@ fn every_delta_log_prefix_folds_bit_identically() {
     for i in 0..40 {
         engine.ingest(&statement(i)).expect("ingest");
     }
-    let final_windows = engine.windows_closed().expect("windows_closed");
+    let final_windows = engine.snapshot().expect("snapshot").windows_closed();
     drop(engine);
     let files = fs.files();
     let dirs: BTreeSet<PathBuf> = fs.dirs();
@@ -364,7 +372,7 @@ fn every_delta_log_prefix_folds_bit_identically() {
         assert_eq!(replay.records_applied, records as u64, "prefix {records}: applied count");
         let expected = logr::manifest::encode(&replayed);
         let engine = EngineBuilder::new().vfs(fs.clone()).resume(&dir).expect("resume");
-        let recovered = engine.windows_closed().expect("windows_closed");
+        let recovered = engine.snapshot().expect("snapshot").windows_closed();
         if let Some(prev) = last_windows {
             assert!(recovered >= prev, "prefix {records}: windows went backwards");
         }
